@@ -7,6 +7,7 @@ Everything is computed over the rationals with zero tolerance; numerical
 types never enter.
 """
 
+from . import lattice, transform
 from ._version import __version__
 from .crosscheck import (
     CLASSICAL_INTERSECTIONS,
@@ -65,8 +66,10 @@ __all__ = [
     "SurfaceType",
     "SYMPLECTIC",
     "TruncatedSeries",
+    "cache_info",
     "census",
     "check_kernel_identity",
+    "clear_caches",
     "compute",
     "count",
     "divided_difference",
@@ -86,3 +89,19 @@ __all__ = [
     "verify_continuous_recursion",
     "verify_eo",
 ]
+
+
+def clear_caches() -> None:
+    """Empty the engine tables of every configuration and the lattice memo."""
+    for table in transform._tables.values():
+        table.clear()
+    lattice._memo.clear()
+
+
+def cache_info() -> dict:
+    """Entries held per engine configuration, and the lattice memo size:
+    ``{"engine": {config name: tables}, "lattice": memo entries}``."""
+    return {
+        "engine": {name: len(table) for name, table in transform._tables.items()},
+        "lattice": len(lattice._memo),
+    }

@@ -104,7 +104,10 @@ def _cmd_count(args, parser) -> int:
             print(_fraction_text(value))
         return 0
 
-    table = census(g, n, args.max_sum, cache_dir=args.cache_dir)
+    try:
+        table = census(g, n, args.max_sum, cache_dir=args.cache_dir)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.format == "csv":
         sys.stdout.write(table.csv_text())
     elif args.format == "json":
@@ -176,6 +179,11 @@ def _verify_cases(suite: str, level: int | None, seed: int, trials: int):
 
 
 def _cmd_verify(args, parser) -> int:
+    # a suite that checks nothing must not report success
+    if args.trials < 1:
+        parser.error("--trials must be positive")
+    if args.level is not None and args.level < 1:
+        parser.error("--level must be positive")
     suites = (
         ["golden", "ratio", "leading", "series", "eo", "symplectic"]
         if args.suite == "all"

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactmath import EvenLaurentPoly
+from .exactmath import EvenLaurentPoly, _accumulate
 from .surface import is_stable
 from .transform import EUCLIDEAN, LAPLACE, SYMPLECTIC, RecursionConfig, compute
 
@@ -109,11 +109,7 @@ def check_kernel_identity(curve: SpectralCurveSpec) -> bool:
 def _ladd(a: Laurent, b: Laurent) -> Laurent:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
+        _accumulate(out, e, c)
     return out
 
 
@@ -121,12 +117,7 @@ def _lmul(a: Laurent, b: Laurent) -> Laurent:
     out: Laurent = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            _accumulate(out, ea + eb, ca * cb)
     return out
 
 
@@ -282,12 +273,7 @@ def _laurent_divide(num: Laurent, den: Laurent) -> Laurent:
         c = rem[rtop] / lead
         quotient[rtop - dtop] = c
         for e, v in div.items():
-            k = e + rtop - dtop
-            s = rem.get(k, 0) - c * v
-            if s:
-                rem[k] = s
-            elif k in rem:
-                del rem[k]
+            _accumulate(rem, e + rtop - dtop, -c * v)
     shift = nmin - dmin
     return {e + shift: c for e, c in quotient.items()}
 

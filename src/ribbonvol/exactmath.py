@@ -6,13 +6,20 @@ variable t_j.  Such a polynomial is stored sparsely as a mapping
 
     exponents (a_1, ..., a_n)  ->  coefficient,
 
-where ``a_j`` is the (possibly negative) exponent of ``u_j = t_j**2`` and
-every coefficient is a nonzero ``fractions.Fraction``.  The total degree in
-t of a term is therefore ``2 * sum(a)``.
+where ``a_j`` is the (possibly negative) exponent of ``u_j = t_j**2``.
+The total degree in t of a term is therefore ``2 * sum(a)``.
 
-All values are immutable by convention: no operation mutates its operands,
-so shared references (including the memo tables built on top of this
-module) are safe under concurrent readers.
+Canonical form: each key is a tuple of exactly ``arity`` ints, no key
+occurs twice, and every value is a nonzero ``fractions.Fraction``.  The
+public constructors check outside input and normalize it into this form.
+Every ``EvenLaurentPoly`` operation builds a result that is canonical by
+construction (sums go through ``_accumulate``, which drops what cancels)
+and stores it through the private ``_trusted`` constructor unchecked.
+
+Immutability is enforced, not a convention: attributes cannot be rebound,
+and ``terms`` is a read-only ``types.MappingProxyType`` view of the private
+dict, so a polynomial shared through a memo table cannot be altered by a
+caller and is safe under concurrent readers.
 
 Coefficients use ``fractions.Fraction`` directly -- arbitrary precision,
 always reduced, positive denominator -- and are serialized as exact
@@ -24,10 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Mapping, Sequence
-
-#: Exact rational scalar type used across the package.
-Rational = Fraction
+from operator import add
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -40,6 +46,16 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _accumulate(out: dict, key, c: Fraction) -> None:
+    """Add ``c`` to ``out[key]``; a key whose coefficient is zero is dropped."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 class EvenLaurentPoly:
@@ -55,7 +71,7 @@ class EvenLaurentPoly:
         Zero coefficients are dropped on construction.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "_terms")
 
     def __init__(self, arity: int, terms: Mapping[Sequence[int], object] | None = None):
         if arity < 0:
@@ -67,16 +83,26 @@ class EvenLaurentPoly:
                 raise ValueError(f"exponent vector {key} does not match arity {arity}")
             if not all(isinstance(e, int) for e in key):
                 raise ValueError(f"exponents must be integers: {key}")
-            c = _as_fraction(coeff)
-            if c:
-                clean[key] = clean.get(key, Fraction(0)) + c
-                if not clean[key]:
-                    del clean[key]
+            _accumulate(clean, key, _as_fraction(coeff))
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict[Exponents, Fraction]) -> "EvenLaurentPoly":
+        """Wrap a dict that is already canonical (see the module docstring),
+        without copying or checking it.  The dict must not be used again."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "arity", arity)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("EvenLaurentPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Read-only view of the exponent-vector -> coefficient mapping."""
+        return MappingProxyType(self._terms)
 
     # -- constructors ---------------------------------------------------
 
@@ -92,6 +118,17 @@ class EvenLaurentPoly:
     def monomial(cls, arity: int, exponents: Sequence[int], coefficient=1) -> "EvenLaurentPoly":
         return cls(arity, {tuple(exponents): _as_fraction(coefficient)})
 
+    @classmethod
+    def sum(cls, arity: int, polys: Iterable["EvenLaurentPoly"]) -> "EvenLaurentPoly":
+        """The sum of ``polys``, accumulated in one dict."""
+        out: dict[Exponents, Fraction] = {}
+        for poly in polys:
+            if poly.arity != arity:
+                raise ValueError(f"arity mismatch: {poly.arity} != {arity}")
+            for exps, c in poly._terms.items():
+                _accumulate(out, exps, c)
+        return cls._trusted(arity, out)
+
     # -- ring operations ------------------------------------------------
 
     def _require_same_shape(self, other: "EvenLaurentPoly") -> None:
@@ -100,17 +137,13 @@ class EvenLaurentPoly:
 
     def __add__(self, other: "EvenLaurentPoly") -> "EvenLaurentPoly":
         self._require_same_shape(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return EvenLaurentPoly(self.arity, out)
+        out = dict(self._terms)
+        for exps, c in other._terms.items():
+            _accumulate(out, exps, c)
+        return EvenLaurentPoly._trusted(self.arity, out)
 
     def __neg__(self) -> "EvenLaurentPoly":
-        return EvenLaurentPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return EvenLaurentPoly._trusted(self.arity, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "EvenLaurentPoly") -> "EvenLaurentPoly":
         return self + (-other)
@@ -119,17 +152,14 @@ class EvenLaurentPoly:
         if isinstance(other, EvenLaurentPoly):
             self._require_same_shape(other)
             out: dict[Exponents, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(x + y for x, y in zip(e1, e2))
-                    s = out.get(key, Fraction(0)) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return EvenLaurentPoly(self.arity, out)
+            for e1, c1 in self._terms.items():
+                for e2, c2 in other._terms.items():
+                    _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+            return EvenLaurentPoly._trusted(self.arity, out)
         c = _as_fraction(other)
-        return EvenLaurentPoly(self.arity, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return EvenLaurentPoly._trusted(self.arity, {})
+        return EvenLaurentPoly._trusted(self.arity, {e: c * v for e, v in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -149,16 +179,16 @@ class EvenLaurentPoly:
         return (
             isinstance(other, EvenLaurentPoly)
             and self.arity == other.arity
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
-    __hash__ = None  # mutable dict inside; identity hashing would mislead
+    __hash__ = None  # compared by value; not meant as a dict key
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return f"EvenLaurentPoly({self.arity}, 0)"
         bits = [f"{c}*u^{list(e)}" for e, c in self.sorted_terms()]
         return f"EvenLaurentPoly({self.arity}, {' + '.join(bits)})"
@@ -168,25 +198,22 @@ class EvenLaurentPoly:
     def d_square(self, var: int) -> "EvenLaurentPoly":
         """Partial derivative with respect to ``u_var = t_var**2`` (0-based)."""
         self._check_var(var)
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            k = exps[var]
-            if k == 0:
-                continue
-            key = exps[:var] + (k - 1,) + exps[var + 1 :]
-            s = out.get(key, Fraction(0)) + c * k
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return EvenLaurentPoly(self.arity, out)
+        # lowering one exponent is injective, so no two terms meet
+        return EvenLaurentPoly._trusted(
+            self.arity,
+            {
+                e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
+                for e, c in self._terms.items()
+                if e[var]
+            },
+        )
 
     def shift(self, var: int, k: int) -> "EvenLaurentPoly":
         """Multiply by ``u_var**k``."""
         self._check_var(var)
-        return EvenLaurentPoly(
+        return EvenLaurentPoly._trusted(
             self.arity,
-            {e[:var] + (e[var] + k,) + e[var + 1 :]: c for e, c in self.terms.items()},
+            {e[:var] + (e[var] + k,) + e[var + 1 :]: c for e, c in self._terms.items()},
         )
 
     def substitute_slots(self, mapping: Mapping[int, int], new_arity: int) -> "EvenLaurentPoly":
@@ -200,8 +227,9 @@ class EvenLaurentPoly:
             raise ValueError("slot map must be injective")
         if any(not 0 <= s < new_arity for s in targets):
             raise ValueError("slot map target out of range")
+        # an injective map of the used slots keeps distinct terms distinct
         out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
+        for exps, c in self._terms.items():
             key = [0] * new_arity
             for old, e in enumerate(exps):
                 if e == 0:
@@ -209,13 +237,8 @@ class EvenLaurentPoly:
                 if old not in mapping:
                     raise ValueError(f"slot {old} used but not mapped")
                 key[mapping[old]] = e
-            k = tuple(key)
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return EvenLaurentPoly(new_arity, out)
+            out[tuple(key)] = c
+        return EvenLaurentPoly._trusted(new_arity, out)
 
     def diagonal_merge(self, keep: int, absorb: int) -> "EvenLaurentPoly":
         """Identify variable ``absorb`` with variable ``keep`` (0-based).
@@ -228,34 +251,28 @@ class EvenLaurentPoly:
         if keep == absorb:
             raise ValueError("cannot merge a slot with itself")
         out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
+        for exps, c in self._terms.items():
             merged = list(exps)
             merged[keep] += merged[absorb]
             del merged[absorb]
-            key = tuple(merged)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return EvenLaurentPoly(self.arity - 1, out)
+            _accumulate(out, tuple(merged), c)
+        return EvenLaurentPoly._trusted(self.arity - 1, out)
 
     def leading_part(self) -> "EvenLaurentPoly":
         """Terms of maximal total degree (in t: ``2*sum(a)``)."""
-        if not self.terms:
+        if not self._terms:
             return self
-        top = max(sum(e) for e in self.terms)
-        return EvenLaurentPoly(
-            self.arity, {e: c for e, c in self.terms.items() if sum(e) == top}
+        top = max(sum(e) for e in self._terms)
+        return EvenLaurentPoly._trusted(
+            self.arity, {e: c for e, c in self._terms.items() if sum(e) == top}
         )
 
     def max_total_degree(self) -> int | None:
         """Maximal ``sum(a)`` over terms, or None for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=None)
+        return max((sum(e) for e in self._terms), default=None)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        return len({sum(e) for e in self._terms}) <= 1
 
     def evaluate(self, point: Sequence[object]) -> Fraction:
         """Evaluate at a rational point; nonzero coordinates required
@@ -264,7 +281,7 @@ class EvenLaurentPoly:
             raise ValueError("point length does not match arity")
         us = [_as_fraction(x) ** 2 for x in point]
         total = Fraction(0)
-        for exps, c in self.terms.items():
+        for exps, c in self._terms.items():
             v = c
             for u, e in zip(us, exps):
                 if e == 0:
@@ -286,7 +303,7 @@ class EvenLaurentPoly:
         values = {var: _as_fraction(x) ** 2 for var, x in assignments.items()}
         keep = [i for i in range(self.arity) if i not in values]
         out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
+        for exps, c in self._terms.items():
             v = c
             for var, u in values.items():
                 e = exps[var]
@@ -295,13 +312,8 @@ class EvenLaurentPoly:
                 if u == 0 and e < 0:
                     raise ZeroDivisionError("negative exponent at a zero coordinate")
                 v *= u**e
-            key = tuple(exps[i] for i in keep)
-            s = out.get(key, Fraction(0)) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return EvenLaurentPoly(len(keep), out)
+            _accumulate(out, tuple(exps[i] for i in keep), v)
+        return EvenLaurentPoly._trusted(len(keep), out)
 
     def _check_var(self, var: int) -> None:
         if not 0 <= var < self.arity:
@@ -312,7 +324,7 @@ class EvenLaurentPoly:
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms sorted lexicographically by exponent vector (the canonical
         order used by every serializer)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return sorted(self._terms.items(), key=lambda kv: kv[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,15 +340,12 @@ class EvenLaurentPoly:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "EvenLaurentPoly":
-        arity = doc["arity"]
-        terms: dict[Exponents, Fraction] = {}
-        for item in doc["terms"]:
-            terms[tuple(item["exponents"])] = Fraction(item["coefficient"])
-        return cls(arity, terms)
+        terms = {tuple(item["exponents"]): Fraction(item["coefficient"]) for item in doc["terms"]}
+        return cls(doc["arity"], terms)
 
     def to_latex(self, var: str = "t") -> str:
         """Render grouped by total degree, highest first."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         groups: dict[int, list[str]] = {}
         for exps, c in self.sorted_terms():
@@ -351,10 +360,7 @@ class EvenLaurentPoly:
                 num = ""
             sign = "-" if c < 0 else "+"
             groups.setdefault(sum(exps), []).append(f"{sign} {num}{mono}".strip())
-        lines = []
-        for deg in sorted(groups, reverse=True):
-            lines.append(" ".join(groups[deg]))
-        text = " ".join(lines)
+        text = " ".join(" ".join(groups[deg]) for deg in sorted(groups, reverse=True))
         return text[2:] if text.startswith("+ ") else text
 
 
@@ -363,63 +369,65 @@ def divided_difference(f: EvenLaurentPoly, slot_a: int, slot_b: int) -> EvenLaur
 
     ``f`` must not involve ``slot_b``; the result is an even Laurent
     polynomial of the same arity using both slots.  Division is performed
-    by synthetic expansion per monomial, then re-multiplied to verify
-    exactness -- a nonzero remainder means an internal arithmetic bug and
-    aborts.
+    by synthetic expansion per monomial, then checked against ``f`` by
+    ``_check_quotient`` -- a nonzero remainder means an internal
+    arithmetic bug and aborts.
     """
     f._check_var(slot_a)
     f._check_var(slot_b)
     if slot_a == slot_b:
         raise ValueError("divided difference needs two distinct slots")
-    if any(e[slot_b] for e in f.terms):
+    if any(e[slot_b] for e in f._terms):
         raise ValueError(f"slot {slot_b} must be free in the input")
 
+    # (u_a^k - u_b^k)/(u_a - u_b) = +sum_{0 <= i < k} u_a^i u_b^{k-1-i}   (k > 0)
+    #                             = -sum_{k <= i < 0} u_a^i u_b^{k-1-i}   (k < 0)
+    # The exponent sum i + (k-1-i) = k-1 recovers k, so no two output
+    # terms meet.
     out: dict[Exponents, Fraction] = {}
-
-    def bump(base: Exponents, ea: int, eb: int, c: Fraction) -> None:
-        key = list(base)
-        key[slot_a] = ea
-        key[slot_b] = eb
-        k = tuple(key)
-        s = out.get(k, Fraction(0)) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-
-    for exps, c in f.terms.items():
+    for exps, c in f._terms.items():
         k = exps[slot_a]
         if k > 0:
-            # (u_a^k - u_b^k)/(u_a - u_b) = sum_{i<k} u_a^i u_b^{k-1-i}
-            for i in range(k):
-                bump(exps, i, k - 1 - i, c)
+            powers = range(k)
         elif k < 0:
-            # (u_a^k - u_b^k)/(u_a - u_b) = -sum_{i<-k} u_a^{k+i} u_b^{-1-i}
-            for i in range(-k):
-                bump(exps, k + i, -1 - i, -c)
-    result = EvenLaurentPoly(f.arity, out)
-
-    # abort rather than return a truncated quotient
-    swapped = _swap_slot(f, slot_a, slot_b)
-    u_a = EvenLaurentPoly.monomial(f.arity, _unit(f.arity, slot_a))
-    u_b = EvenLaurentPoly.monomial(f.arity, _unit(f.arity, slot_b))
-    if (u_a - u_b) * result != f - swapped:
-        raise ArithmeticError("divided difference left a nonzero remainder")
+            powers, c = range(k, 0), -c
+        else:
+            continue
+        key = list(exps)
+        for i in powers:
+            key[slot_a], key[slot_b] = i, k - 1 - i
+            out[tuple(key)] = c
+    result = EvenLaurentPoly._trusted(f.arity, out)
+    _check_quotient(f, result, slot_a, slot_b)
     return result
 
 
-def _unit(arity: int, slot: int) -> Exponents:
-    return tuple(1 if i == slot else 0 for i in range(arity))
+def _check_quotient(f: EvenLaurentPoly, q: EvenLaurentPoly, slot_a: int, slot_b: int) -> None:
+    """Raise ``ArithmeticError`` unless ``(u_a - u_b) q == f - f|_{a<->b}``.
+
+    The residual ``(u_a - u_b) q - (f - f|_{a<->b})`` is accumulated in a
+    single dict, which must come out empty.
+    """
+    residual: dict[Exponents, Fraction] = {}
+    for exps, c in q._terms.items():
+        key = list(exps)
+        key[slot_a] += 1
+        _accumulate(residual, tuple(key), c)
+        key[slot_a] -= 1
+        key[slot_b] += 1
+        _accumulate(residual, tuple(key), -c)
+    for exps, c in f._terms.items():
+        if exps[slot_a] != exps[slot_b]:  # a term the swap fixes cancels in f - f|swap
+            _accumulate(residual, exps, -c)
+            _accumulate(residual, _swap_key(exps, slot_a, slot_b), c)
+    if residual:
+        raise ArithmeticError("divided difference left a nonzero remainder")
 
 
 def _swap_key(exps: Exponents, a: int, b: int) -> Exponents:
     key = list(exps)
     key[a], key[b] = key[b], key[a]
     return tuple(key)
-
-
-def _swap_slot(f: EvenLaurentPoly, a: int, b: int) -> EvenLaurentPoly:
-    return EvenLaurentPoly(f.arity, {_swap_key(e, a, b): c for e, c in f.terms.items()})
 
 
 class TruncatedSeries:
@@ -443,11 +451,7 @@ class TruncatedSeries:
                 raise ValueError("series exponents must be nonnegative")
             if sum(key) > order:
                 continue
-            c = _as_fraction(coeff)
-            if c:
-                clean[key] = clean.get(key, Fraction(0)) + c
-                if not clean[key]:
-                    del clean[key]
+            _accumulate(clean, key, _as_fraction(coeff))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
@@ -463,11 +467,7 @@ class TruncatedSeries:
             raise ValueError("series shapes differ")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            _accumulate(out, e, c)
         return TruncatedSeries(self.arity, self.order, out)
 
     def __mul__(self, other) -> "TruncatedSeries":
@@ -480,12 +480,7 @@ class TruncatedSeries:
                 for e2, c2 in other.terms.items():
                     if d1 + sum(e2) > self.order:
                         continue
-                    key = tuple(x + y for x, y in zip(e1, e2))
-                    s = out.get(key, Fraction(0)) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
             return TruncatedSeries(self.arity, self.order, out)
         c = _as_fraction(other)
         return TruncatedSeries(self.arity, self.order, {e: c * v for e, v in self.terms.items()})
@@ -545,30 +540,21 @@ def laurent_to_series(p: EvenLaurentPoly, order: int) -> TruncatedSeries:
     """
     n = p.arity
     acc: dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p._terms.items():
         partial: dict[Exponents, Fraction] = {(): coeff}
         for a in exps:
             series = _edge_series(a, order)
+            # distinct (stem, m) give distinct keys stem + (m,)
             grown: dict[Exponents, Fraction] = {}
             for stem, c in partial.items():
                 room = order - sum(stem)
                 for m in range(1, room + 1):
                     s = series[m]
-                    if not s:
-                        continue
-                    key = stem + (m,)
-                    v = grown.get(key, Fraction(0)) + c * s
-                    if v:
-                        grown[key] = v
-                    else:
-                        grown.pop(key, None)
+                    if s:
+                        grown[stem + (m,)] = c * s
             partial = grown
             if not partial:
                 break
         for key, c in partial.items():
-            v = acc.get(key, Fraction(0)) + c
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
+            _accumulate(acc, key, c)
     return TruncatedSeries(n, order, acc)

@@ -52,7 +52,7 @@ def count(g: int, n: int, p: Sequence[int]) -> Fraction:
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
     if len(p) != n:
         raise ValueError(f"expected {n} perimeters, got {len(p)}")
-    if not all(isinstance(x, int) and x > 0 for x in p):
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in p):
         raise ValueError("perimeters must be positive integers")
     return _N(g, n, tuple(sorted(p, reverse=True)))
 
@@ -223,8 +223,11 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
     When ``cache_dir`` (or the RIBBONVOL_CACHE_DIR environment variable)
     is set, the table is read from / written to a JSON file addressed by
     (g, n, max_sum); files written by a different package version are
-    ignored and recomputed.
+    ignored and recomputed.  A ``max_sum`` below ``n`` admits no vector
+    and is rejected rather than answered with an empty table.
     """
+    if max_sum < n:
+        raise ValueError(f"max_sum must be at least n = {n}: every perimeter is positive")
     cache_dir = cache_dir or os.environ.get("RIBBONVOL_CACHE_DIR")
     path = None
     if cache_dir:

@@ -126,25 +126,22 @@ def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
 
     if n >= 2:
         prev = compute(config, g, n - 1)
-        j_sum = EvenLaurentPoly.zero(n)
+        j_parts = []
         for b in range(1, n):
-            spectators = [s for s in range(1, n) if s != b]
-            mapping = {0: 0}
-            mapping.update({i + 1: s for i, s in enumerate(spectators)})
+            mapping = dict(enumerate([0] + [s for s in range(1, n) if s != b]))
             f = prev.substitute_slots(mapping, n) * kappa0
             h = divided_difference(f, 0, b)
             # d/dt_b [t_b h] for even h: h + 2 u_b dh/du_b
-            j_sum = j_sum + h + 2 * h.d_square(b).shift(b, 1)
-        result = result + config.a_factor * j_sum
+            j_parts += [h, 2 * h.d_square(b).shift(b, 1)]
+        result = result + config.a_factor * EvenLaurentPoly.sum(n, j_parts)
 
-    bracket = EvenLaurentPoly.zero(n)
-    if g >= 1:
-        higher = compute(config, g - 1, n + 1)
-        bracket = bracket + higher.diagonal_merge(0, 1)
-    for sp in enumerate_splittings(g, range(1, n)):
-        f1 = _embed_part(config, sp.g1, sp.part1, n)
-        f2 = _embed_part(config, sp.g2, sp.part2, n)
-        bracket = bracket + f1 * f2
+    def bracket_parts():
+        if g >= 1:
+            yield compute(config, g - 1, n + 1).diagonal_merge(0, 1)
+        for sp in enumerate_splittings(g, range(1, n)):
+            yield _embed_part(config, sp.g1, sp.part1, n) * _embed_part(config, sp.g2, sp.part2, n)
+
+    bracket = EvenLaurentPoly.sum(n, bracket_parts())
     if bracket:
         result = result + config.b_factor * (kappa0 * bracket)
     return result
@@ -152,9 +149,7 @@ def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
 
 def _embed_part(config, g_part, slots, n):
     poly = compute(config, g_part, len(slots) + 1)
-    mapping = {0: 0}
-    mapping.update({i + 1: s for i, s in enumerate(sorted(slots))})
-    return poly.substitute_slots(mapping, n)
+    return poly.substitute_slots(dict(enumerate([0] + sorted(slots))), n)
 
 
 def kontsevich_ratio(g: int, n: int) -> Fraction:

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from ribbonvol import clear_caches
 from ribbonvol.crosscheck import (
     forward_laplace,
     golden_laplace,
@@ -19,12 +20,11 @@ from ribbonvol.crosscheck import (
 )
 from ribbonvol.eo import CURVES, sample_spectators, verify_eo
 from ribbonvol.exactmath import EvenLaurentPoly, divided_difference
-from ribbonvol.lattice import _memo, census, count, oracle_n11
+from ribbonvol.lattice import census, count, oracle_n11
 from ribbonvol.transform import (
     EUCLIDEAN,
     LAPLACE,
     SYMPLECTIC,
-    _tables,
     compute,
     euclidean_matches_leading,
     intersection_numbers,
@@ -41,17 +41,12 @@ SERIES_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2)]
 EO_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]
 
 
-def _fresh_engine():
-    for table in _tables.values():
-        table.clear()
-
-
 def _report(line):
     print(f"ACCEPTANCE {line}")
 
 
 def test_criterion_01_golden_transforms():
-    _fresh_engine()
+    clear_caches()
     expected = golden_laplace()
     start = time.monotonic()
     for g, n in GOLDEN_TYPES:
@@ -62,7 +57,7 @@ def test_criterion_01_golden_transforms():
 
 
 def test_criterion_02_volume_ratio():
-    _fresh_engine()
+    clear_caches()
     start = time.monotonic()
     for g, n in LEVEL_5:
         assert kontsevich_ratio(g, n) == F(2) ** (5 * g - 5 + 2 * n), (g, n)
@@ -78,7 +73,7 @@ def test_criterion_03_euclidean_is_leading_part():
 
 
 def test_criterion_04_series_identity():
-    _memo.clear()
+    clear_caches()
     start = time.monotonic()
     points = 0
     for g, n in SERIES_TYPES:

@@ -72,6 +72,14 @@ def test_count_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_census_rejects_a_bound_without_vectors(capsys):
+    for bound in ("-3", "0", "2"):
+        with pytest.raises(SystemExit) as err:
+            main(["count", "--gn", "0,3", "--max-sum", bound])
+        assert err.value.code == 2
+        assert "max_sum must be at least" in capsys.readouterr().err
+
+
 def test_poly_text(capsys):
     code, out = run(capsys, "poly", "VS", "1", "1")
     assert code == 0
@@ -126,6 +134,26 @@ def test_verify_fast_suites(capsys):
     assert code == 0
     code, out = run(capsys, "verify", "--suite", "eo", "--trials", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "eo", "--trials", "0"],
+        ["--suite", "symplectic", "--trials", "0"],
+        ["--suite", "eo", "--trials", "-2"],
+        ["--suite", "ratio", "--level", "0"],
+        ["--suite", "leading", "--level", "0"],
+        ["--suite", "series", "--level", "-1"],
+    ],
+)
+def test_verify_rejects_suites_that_check_nothing(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be positive" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -6,6 +6,7 @@ import pytest
 from ribbonvol.exactmath import (
     EvenLaurentPoly,
     TruncatedSeries,
+    _check_quotient,
     divided_difference,
     laurent_to_series,
 )
@@ -64,6 +65,41 @@ def test_immutability():
     p = EvenLaurentPoly.constant(1, 1)
     with pytest.raises(AttributeError):
         p.arity = 2
+
+
+def test_terms_is_a_read_only_view():
+    p = EvenLaurentPoly(2, {(1, 0): F(1, 2), (0, -1): 3})
+    with pytest.raises(TypeError):
+        p.terms[(5, 5)] = F(1)
+    with pytest.raises(TypeError):
+        del p.terms[(1, 0)]
+    assert p.terms[(0, -1)] == 3
+    assert dict(p.terms.items()) == {**p.terms} == {(1, 0): F(1, 2), (0, -1): F(3)}
+    assert EvenLaurentPoly(2, p.terms) == p
+
+
+def test_results_are_canonical():
+    # every operation drops what cancels; the trusted results compare
+    # equal to the same terms passed through the validating constructor
+    p = EvenLaurentPoly(2, {(1, 0): 1, (0, 1): F(-1, 2), (-1, 2): 2})
+    q = EvenLaurentPoly(2, {(1, 0): -1, (0, 1): F(1, 2)})
+    # u_1 = 0 kills the first term
+    at_zero = EvenLaurentPoly(3, {(1, 0, 0): 1, (0, 0, 1): 2}).partial_evaluate({0: 0})
+    results = [
+        p + q, p - p, -p, p * q, 0 * p, p * F(0), 3 * p,
+        p.d_square(0), p.shift(1, -2), p.leading_part(),
+        p.diagonal_merge(0, 1), p.substitute_slots({0: 2, 1: 0}, 3),
+        p.partial_evaluate({1: 1}), at_zero, EvenLaurentPoly.sum(2, [p, q, -p]),
+    ]
+    for r in results:
+        assert all(isinstance(c, Fraction) and c for c in r.terms.values()), r
+        assert all(len(e) == r.arity for e in r.terms), r
+        assert r == EvenLaurentPoly(r.arity, dict(r.terms))
+    assert p - p == EvenLaurentPoly.zero(2) == 0 * p
+    assert EvenLaurentPoly.sum(2, [p, q, -p]) == q
+    assert at_zero == EvenLaurentPoly(2, {(0, 1): 2})
+    with pytest.raises(ValueError):
+        EvenLaurentPoly.sum(2, [p, EvenLaurentPoly.zero(3)])
 
 
 def test_d_square_and_shift():
@@ -153,21 +189,45 @@ def test_divided_difference_requires_free_slot():
 
 
 def test_divided_difference_random_zero_remainder():
-    # the result is re-multiplied internally; any remainder raises
+    # checked against the public ring ops on every ordered pair of slots,
+    # with mixed-sign exponents in the divided slot and the spectator
     rng = random.Random(991)
     for _ in range(1000):
+        a, b = rng.sample(range(3), 2)
         terms = {}
         for _t in range(rng.randint(1, 6)):
-            key = (rng.randint(-4, 4), 0, rng.randint(-4, 4))
-            terms[key] = F(rng.randint(-20, 20), rng.randint(1, 12))
+            key = [rng.randint(-4, 4) for _ in range(3)]
+            key[b] = 0
+            terms[tuple(key)] = F(rng.randint(-20, 20), rng.randint(1, 12))
         f = EvenLaurentPoly(3, terms)
-        d = divided_difference(f, 0, 1)
-        u0 = EvenLaurentPoly.monomial(3, (1, 0, 0))
-        u1 = EvenLaurentPoly.monomial(3, (0, 1, 0))
+        d = divided_difference(f, a, b)
+        ua = EvenLaurentPoly.monomial(3, [int(i == a) for i in range(3)])
+        ub = EvenLaurentPoly.monomial(3, [int(i == b) for i in range(3)])
+        swap = {a: b, b: a}
         swapped = EvenLaurentPoly(
-            3, {(e[1], e[0], e[2]): c for e, c in f.terms.items()}
+            3, {tuple(e[swap.get(i, i)] for i in range(3)): c for e, c in f.terms.items()}
         )
-        assert (u0 - u1) * d == f - swapped
+        assert (ua - ub) * d == f - swapped
+
+
+def test_quotient_check_rejects_wrong_quotients():
+    f = EvenLaurentPoly(3, {(2, 0, -1): F(3, 4), (-2, 0, 1): F(-5, 2), (1, 0, 0): 7})
+    q = divided_difference(f, 0, 1)
+    _check_quotient(f, q, 0, 1)
+    exps, coeff = min(q.terms.items())
+    wrong = [
+        EvenLaurentPoly(3, {**q.terms, exps: coeff + 1}),  # one coefficient off
+        EvenLaurentPoly(3, {e: c for e, c in q.terms.items() if e != exps}),  # a term lost
+        q + EvenLaurentPoly.monomial(3, (0, 0, -1), F(1, 3)),  # a stray term
+        -q,
+        EvenLaurentPoly.zero(3),
+    ]
+    for bad in wrong:
+        with pytest.raises(ArithmeticError):
+            _check_quotient(f, bad, 0, 1)
+    # the right quotient for the wrong pair of slots is rejected too
+    with pytest.raises(ArithmeticError):
+        _check_quotient(f, q, 1, 0)
 
 
 # series expansion ------------------------------------------------------------

@@ -101,6 +101,16 @@ def test_validation():
         count(0, 3, (1, 2, -3))
 
 
+def test_bool_perimeters_and_empty_census_are_rejected():
+    with pytest.raises(ValueError):
+        count(1, 1, (True,))
+    with pytest.raises(ValueError):
+        count(0, 3, (2, False, 2))
+    for bound in (-3, 0, 2):
+        with pytest.raises(ValueError):
+            census(0, 3, bound)
+
+
 def test_higher_genus_spot_values():
     # genus two needs perimeter at least 8; the first nonzero counts
     assert all(count(2, 1, (p,)) == 0 for p in (2, 4, 6))

@@ -4,8 +4,10 @@ from itertools import permutations
 
 import pytest
 
+from ribbonvol import cache_info, clear_caches
 from ribbonvol.crosscheck import golden_laplace
 from ribbonvol.exactmath import EvenLaurentPoly
+from ribbonvol.lattice import count
 from ribbonvol.transform import (
     CONFIGS,
     EUCLIDEAN,
@@ -174,3 +176,26 @@ def test_intersection_keys_are_sorted_degree_vectors():
         for key in table:
             for exps in set(permutations(key)):
                 assert exps in vs.terms
+
+
+def test_memo_tables_cannot_be_altered_through_a_result():
+    poly = compute(LAPLACE, 1, 1)
+    with pytest.raises(TypeError):
+        poly.terms[(5,)] = 1
+    with pytest.raises(AttributeError):
+        poly.arity = 2
+    assert compute(LAPLACE, 1, 1) == golden_laplace()[(1, 1)]
+
+
+def test_cache_control():
+    clear_caches()
+    info = cache_info()
+    assert info == {"engine": {name: 0 for name in CONFIGS}, "lattice": 0}
+    compute(SYMPLECTIC, 1, 2)
+    count(1, 2, (4, 6))
+    info = cache_info()
+    assert info["engine"]["symplectic"] == 3  # (1,2) from (1,1) and (0,3)
+    assert info["engine"]["laplace"] == 0
+    assert info["lattice"] > 0
+    clear_caches()
+    assert cache_info() == {"engine": {name: 0 for name in CONFIGS}, "lattice": 0}
