@@ -92,10 +92,11 @@ __all__ = [
 
 
 def clear_caches() -> None:
-    """Empty the engine tables of every configuration and the lattice memo."""
+    """Empty the engine tables of every configuration, and the lattice memo
+    and moment tables."""
     for table in transform._tables.values():
         table.clear()
-    lattice._memo.clear()
+    lattice._clear()
 
 
 def cache_info() -> dict:

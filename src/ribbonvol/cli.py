@@ -189,6 +189,10 @@ def _cmd_verify(args, parser) -> int:
         if args.suite == "all"
         else [args.suite]
     )
+    # a perimeter-sum bound below n leaves that type no lattice point
+    widest = max(n for _, n in _SERIES_TYPES)
+    if "series" in suites and args.level is not None and args.level < widest:
+        parser.error(f"--level must be at least {widest} for the series suite")
     failures = 0
     for suite in suites:
         for row in _verify_cases(suite, args.level, args.seed, args.trials):

@@ -37,22 +37,17 @@ from typing import Sequence
 
 from .exactmath import EvenLaurentPoly, laurent_to_series
 from .lattice import count
-from .surface import enumerate_splittings, is_stable
+from .surface import enumerate_splittings, is_stable, perimeter_vectors
 from .transform import LAPLACE, SYMPLECTIC, compute, intersection_numbers
-
-
-def _positive_vectors(n: int, max_sum: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, max_sum - n + 2):
-        for rest in _positive_vectors(n - 1, max_sum - first):
-            yield (first,) + rest
 
 
 def series_identity(g: int, n: int, max_sum: int) -> int:
     """Check the coefficient identity for every positive p with sum <= max_sum;
-    returns the number of lattice points checked, raises on any mismatch."""
+    returns the number of lattice points checked, raises on any mismatch.
+    A bound below n admits no lattice point and is rejected with
+    ``ValueError`` rather than passed vacuously."""
+    if max_sum < n:
+        raise ValueError(f"max_sum must be at least n = {n}: every perimeter is positive")
     series = laurent_to_series(compute(LAPLACE, g, n), max_sum)
     for exps in series.terms:
         if 0 in exps:
@@ -61,7 +56,7 @@ def series_identity(g: int, n: int, max_sum: int) -> int:
             )
     sign = (-1) ** n
     checked = 0
-    for p in _positive_vectors(n, max_sum):
+    for p in perimeter_vectors(n, max_sum):
         expected = sign * prod(p) * count(g, n, p)
         got = series.coefficient(p)
         if got != expected:

@@ -6,55 +6,123 @@ have integer perimeters p = (p_1..p_n), every vertex of valence >= 3,
 each graph weighted by the number of integer edge-length assignments
 realizing the perimeters (divided by |Aut|).
 
-Values are produced by an edge-removal recursion on the complexity
-2g - 2 + n.  Writing p_1 for the pivot perimeter and H for the strict
-Heaviside step (H(x) = 1 for x > 0, else 0):
+Values are produced by the edge-removal recursion on the complexity
+2g - 2 + n (Norbury, arXiv:0801.4590).  Write p_1 for the pivot
+perimeter, rest for the other n - 1, rest_j for rest without p_j, H for
+the strict Heaviside step (H(x) = 1 for x > 0, else 0), and
+
+    S_j(P) = sum_{0<q<P} q (P-q) N_{g,n-1}(q, rest_j)
+    X(q_1, q_2) = N_{g-1,n+1}(q_1, q_2, rest)
+                  + sum over ordered stable splittings of N N.
+
+Then
 
     p_1 N_{g,n}(p) =
-      1/2 sum_j [ sum_{q=0}^{p_1+p_j} q (p_1+p_j-q) N_{g,n-1}(q, rest)
-                + H(p_1-p_j) sum_{q=0}^{p_1-p_j} q (p_1-p_j-q) N_{g,n-1}(q, rest)
-                - H(p_j-p_1) sum_{q=0}^{p_j-p_1} q (p_j-p_1-q) N_{g,n-1}(q, rest) ]
-    + 1/2 sum_{q_1+q_2 <= p_1} q_1 q_2 (p_1-q_1-q_2)
-          [ N_{g-1,n+1}(q_1, q_2, rest)
-          + sum over ordered stable splittings N N ]
+      1/2 sum_j [ S_j(p_1+p_j) + H(p_1-p_j) S_j(p_1-p_j) - H(p_j-p_1) S_j(p_j-p_1) ]
+    + 1/2 sum_{q_1+q_2 < p_1} q_1 q_2 (p_1-q_1-q_2) X(q_1, q_2)
 
 with base cases
 
     N_{0,3}(p) = 1 if p_1+p_2+p_3 is even else 0
     N_{1,1}(p) = (p^2 - 4)/48 if p is even else 0.
 
-N vanishes whenever the total perimeter is odd (every ribbon graph edge
-is shared by two boundary arcs), which prunes most of the q-sums.  The
-memo table is keyed by (g, n, sorted perimeters); since N is symmetric,
-any entry may serve as the pivot, and we always rotate the largest one
-into the pivot slot (which also kills the third, negatively signed sum).
+Neither sum is looped over per entry; both are read from prefix moments.
+
+* The j-sums.  With M1[m] = sum_{q<m} q N(q, rest_j) and
+  M2[m] = sum_{q<m} q^2 N(q, rest_j), S_j(P) = P M1[P] - M2[P].  One
+  table per (g, n-1, rest_j) holds M1 and M2, grown to the largest P
+  asked for, so each of the three terms is one table read.
+* The double sum.  Grouping by s = q_1 + q_2, with the diagonal sums
+  D(s) = sum_{q_1+q_2=s} q_1 q_2 X(q_1, q_2), B0[m] = sum_{s<m} D(s)
+  and B1[m] = sum_{s<m} s D(s), it is p_1 B0[p_1] - B1[p_1], one table
+  per (g, n, rest).
+* Parity.  N vanishes whenever the total perimeter is odd (every ribbon
+  graph edge is shared by two boundary arcs).  So D(s) = 0 whenever
+  s + sum(rest) is odd: the genus term then has an odd total, and so
+  does one factor of every splitting product.  Those s are skipped
+  without evaluating either factor.
+
+Every table entry is an exact Fraction, so the regrouped sums equal the
+direct loops term for term.  The memo table is keyed by (g, n, sorted
+perimeters); since N is symmetric, any entry may serve as the pivot, and
+we always rotate the largest one into the pivot slot (which also kills
+the third, negatively signed term).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
+import threading
 from fractions import Fraction
-from math import comb
-from typing import Iterator, Mapping, Sequence
+from math import comb, lcm
+from typing import Callable, Mapping, Sequence
 
 from ._version import __version__
-from .surface import enumerate_splittings, is_stable
+from .surface import enumerate_splittings, is_stable, perimeter_vectors
 
 _ZERO = Fraction(0)
 
 _memo: dict[tuple, Fraction] = {}
+# (g, n, spectators) -> moments of q -> q N_{g,n}(q, spectators)
+_columns: dict[tuple, tuple] = {}
+# (g, n, rest) -> moments of s -> D(s)
+_diagonals: dict[tuple, tuple] = {}
+# the tables grow by check-then-append: one recursion runs at a time
+_lock = threading.Lock()
 
 
-def count(g: int, n: int, p: Sequence[int]) -> Fraction:
-    """N_{g,n}(p) for a stable (g, n) and positive integer perimeters."""
+# A moment table is (term, a, A0, A1): the sequence a(k) = term(k),
+# evaluated on demand, and its prefix sums A0[m] = sum_{k<m} a(k) and
+# A1[m] = sum_{k<m} k a(k).
+
+
+def _moments(term: Callable[[int], Fraction]) -> tuple:
+    return term, [], [_ZERO], [_ZERO]
+
+
+def _extend(table: tuple, size: int) -> list[Fraction]:
+    """The list a(0) .. a(size - 1), or longer."""
+    term, a = table[0], table[1]
+    while len(a) < size:
+        a.append(term(len(a)))
+    return a
+
+
+def _weighted(table: tuple, P: int) -> Fraction:
+    """sum_{k<P} (P - k) a(k) = P A0[P] - A1[P]."""
+    a = _extend(table, P)
+    a0, a1 = table[2], table[3]
+    for k in range(len(a0) - 1, P):
+        v = a[k]
+        a0.append(a0[-1] + v if v else a0[-1])
+        a1.append(a1[-1] + k * v if v else a1[-1])
+    return P * a0[P] - a1[P]
+
+
+def _clear() -> None:
+    """Empty the memo and the moment tables."""
+    with _lock:
+        for table in (_memo, _columns, _diagonals):
+            table.clear()
+
+
+def _perimeters(g: int, n: int, p: Sequence[int]) -> tuple:
     if not is_stable(g, n):
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
     if len(p) != n:
         raise ValueError(f"expected {n} perimeters, got {len(p)}")
     if not all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in p):
         raise ValueError("perimeters must be positive integers")
-    return _N(g, n, tuple(sorted(p, reverse=True)))
+    return tuple(p)
+
+
+def count(g: int, n: int, p: Sequence[int]) -> Fraction:
+    """N_{g,n}(p) for a stable (g, n) and positive integer perimeters."""
+    key = tuple(sorted(_perimeters(g, n, p), reverse=True))
+    with _lock:
+        return _N(g, n, key)
 
 
 def _N(g: int, n: int, p: tuple) -> Fraction:
@@ -74,48 +142,98 @@ def _N(g: int, n: int, p: tuple) -> Fraction:
     return value
 
 
-def _sub(g, n, p):
-    """Recurse on an unsorted perimeter tuple; 0 on any zero perimeter."""
-    if 0 in p:
-        return _ZERO
-    return _N(g, n, tuple(sorted(p, reverse=True)))
+def _descending(extra: tuple, spectators: tuple) -> tuple:
+    return tuple(sorted(extra + spectators, reverse=True))
+
+
+def _column(g: int, n: int, spectators: tuple) -> tuple:
+    """Moments of q -> q N_{g,n}(q, spectators), spectators descending."""
+    key = (g, n, spectators)
+    table = _columns.get(key)
+    if table is None:
+        parity = sum(spectators) % 2
+
+        def term(q: int) -> Fraction:
+            if q == 0 or q % 2 != parity:
+                return _ZERO
+            return q * _N(g, n, _descending((q,), spectators))
+
+        table = _columns[key] = _moments(term)
+    return table
+
+
+def _double_sum(g: int, n: int, rest: tuple, splittings) -> tuple:
+    """Moments of the diagonal sums s -> D(s) for (g, n, rest), rest
+    descending; ``splittings`` label the entries of rest by position."""
+    key = (g, n, rest)
+    table = _diagonals.get(key)
+    if table is not None:
+        return table
+    parity = sum(rest) % 2
+    # (left column, right column, least q_1 with an even left total)
+    pairs = []
+    for sp in splittings:
+        left = tuple(rest[i] for i in sp.part1)
+        right = tuple(rest[i] for i in sp.part2)
+        pairs.append(
+            (
+                _column(sp.g1, len(left) + 1, left),
+                _column(sp.g2, len(right) + 1, right),
+                2 - sum(left) % 2,
+            )
+        )
+
+    def products(s: int):
+        """(numerator, denominator) of each term of D(s), zeros left out."""
+        if g >= 1:
+            # X is symmetric in q_1, q_2: fold q_1 > q_2 onto q_1 < q_2
+            for q1 in range(1, s // 2 + 1):
+                q2 = s - q1
+                v = _N(g - 1, n + 1, _descending((q1, q2), rest))
+                if v:
+                    w = q1 * q2 if q1 == q2 else 2 * q1 * q2
+                    yield w * v.numerator, v.denominator
+        for left, right, first in pairs:
+            a = _extend(left, s)
+            b = _extend(right, s)
+            for q1 in range(first, s, 2):
+                x = a[q1]
+                if x:
+                    y = b[s - q1]
+                    if y:
+                        yield x.numerator * y.numerator, x.denominator * y.denominator
+
+    def term(s: int) -> Fraction:
+        if s % 2 != parity:
+            return _ZERO
+        # summed as integers over a running common denominator
+        num, den = 0, 1
+        for tn, td in products(s):
+            if den % td:
+                m = lcm(den, td)
+                num *= m // den
+                den = m
+            num += tn * (den // td)
+        return Fraction(num, den) if num else _ZERO
+
+    table = _diagonals[key] = _moments(term)
+    return table
 
 
 def _rhs(g: int, n: int, p1: int, rest: tuple) -> Fraction:
-    """Right-hand side of the recursion (already divided by nothing):
-    the two 1/2-weighted sums, for an arbitrary pivot perimeter ``p1``."""
-    total = _ZERO
-    for idx in range(len(rest)):
-        pj = rest[idx]
-        others = rest[:idx] + rest[idx + 1 :]
-        parity = sum(others) % 2
-        s = _ZERO
-        for q in range(2 - parity, p1 + pj, 2):
-            s += q * (p1 + pj - q) * _sub(g, n - 1, (q,) + others)
-        if p1 > pj:
-            for q in range(2 - parity, p1 - pj, 2):
-                s += q * (p1 - pj - q) * _sub(g, n - 1, (q,) + others)
-        elif pj > p1:
-            for q in range(2 - parity, pj - p1, 2):
-                s -= q * (pj - p1 - q) * _sub(g, n - 1, (q,) + others)
-        total += s
-
+    """Right-hand side of the recursion (not yet divided by ``p1``) for
+    an arbitrary pivot perimeter ``p1``; ``rest`` sorted descending."""
     splittings = enumerate_splittings(g, range(len(rest)))
+    total = _ZERO
+    for idx, pj in enumerate(rest):
+        column = _column(g, n - 1, rest[:idx] + rest[idx + 1 :])
+        total += _weighted(column, p1 + pj)
+        if p1 > pj:
+            total += _weighted(column, p1 - pj)
+        elif pj > p1:
+            total -= _weighted(column, pj - p1)
     if g >= 1 or splittings:
-        for q1 in range(1, p1 - 1):
-            for q2 in range(1, p1 - q1):
-                w = q1 * q2 * (p1 - q1 - q2)
-                bracket = _ZERO
-                if g >= 1:
-                    bracket += _sub(g - 1, n + 1, (q1, q2) + rest)
-                for sp in splittings:
-                    left = _sub(sp.g1, len(sp.part1) + 1, (q1,) + tuple(rest[i] for i in sp.part1))
-                    if left:
-                        bracket += left * _sub(
-                            sp.g2, len(sp.part2) + 1, (q2,) + tuple(rest[i] for i in sp.part2)
-                        )
-                if bracket:
-                    total += w * bracket
+        total += _weighted(_double_sum(g, n, rest, splittings), p1)
     return total / 2
 
 
@@ -128,12 +246,12 @@ def recursion_rhs(g: int, n: int, p: Sequence[int], pivot: int) -> Fraction:
     """
     if (g, n) in ((0, 3), (1, 1)):
         raise ValueError("base cases are not produced by the recursion")
-    if not is_stable(g, n) or len(p) != n:
-        raise ValueError("invalid surface data")
+    p = _perimeters(g, n, p)
     if sum(p) % 2:
         return _ZERO
-    rest = tuple(p[:pivot]) + tuple(p[pivot + 1 :])
-    return _rhs(g, n, p[pivot], rest) / p[pivot]
+    rest = tuple(sorted(p[:pivot] + p[pivot + 1 :], reverse=True))
+    with _lock:
+        return _rhs(g, n, p[pivot], rest) / p[pivot]
 
 
 def oracle_n11(p: int) -> Fraction:
@@ -208,15 +326,6 @@ class CountTable:
         return cls(doc["g"], doc["n"], doc["max_sum"], entries)
 
 
-def _ascending_vectors(n: int, max_sum: int, floor: int = 1) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(floor, max_sum - (n - 1) + 1):
-        for tail in _ascending_vectors(n - 1, max_sum - first, first):
-            yield (first,) + tail
-
-
 def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountTable:
     """Tabulate N_{g,n} over every perimeter vector with sum <= max_sum.
 
@@ -235,15 +344,26 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
         table = _load_cache(path, g, n, max_sum)
         if table is not None:
             return table
-    entries = {p: count(g, n, p) for p in _ascending_vectors(n, max_sum)}
+    entries = {p: count(g, n, p) for p in perimeter_vectors(n, max_sum, ascending=True)}
     table = CountTable(g, n, max_sum, entries)
     if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        _write_cache(path, table)
+    return table
+
+
+def _write_cache(path: str, table: CountTable) -> None:
+    """Write through a private temporary file, so that concurrent writers
+    of one table never share a partial file, then move it into place."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(table.to_json_dict(), fh, indent=0, sort_keys=True)
         os.replace(tmp, path)
-    return table
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_cache(path, g, n, max_sum):

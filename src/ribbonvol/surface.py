@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -29,6 +29,23 @@ class SurfaceType:
 def is_stable(g: int, n: int) -> bool:
     """2g - 2 + n > 0, the domain of every recursion in this package."""
     return 2 * g - 2 + n > 0
+
+
+def perimeter_vectors(n: int, max_sum: int, ascending: bool = False) -> Iterator[tuple]:
+    """Every positive integer n-vector with sum <= ``max_sum``, in
+    lexicographic order; only the nondecreasing ones when ``ascending``."""
+
+    def extend(k: int, budget: int, floor: int) -> Iterator[tuple]:
+        if k == 0:
+            yield ()
+            return
+        # the k entries left are each at least ``first`` when ascending
+        top = budget // k if ascending else budget - (k - 1)
+        for first in range(floor, top + 1):
+            for tail in extend(k - 1, budget - first, first if ascending else 1):
+                yield (first,) + tail
+
+    return extend(n, max_sum, 1)
 
 
 @dataclass(frozen=True)

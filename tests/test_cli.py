@@ -156,6 +156,25 @@ def test_verify_rejects_suites_that_check_nothing(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("suite", ["series", "all"])
+@pytest.mark.parametrize("level", ["2", "3"])
+def test_verify_series_rejects_a_level_below_n(capsys, suite, level):
+    # (0, 4) and (1, 2) have no perimeter vector with a sum below 4
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", suite, "--level", level])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--level must be at least 4" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_series_at_the_least_level(capsys):
+    code, out = run(capsys, "verify", "--suite", "series", "--level", "4", "--format", "jsonl")
+    assert code == 0
+    details = {doc["case"]: doc["detail"] for doc in map(json.loads, out.splitlines())}
+    assert details["series(0,4)"] == "1 lattice points"
+
+
 def test_verify_output_is_deterministic(capsys):
     _, first = run(capsys, "verify", "--suite", "eo", "--trials", "2", "--seed", "9")
     _, second = run(capsys, "verify", "--suite", "eo", "--trials", "2", "--seed", "9")

@@ -25,6 +25,12 @@ def test_series_identity_small():
     assert series_identity(1, 2, 10) == 45
 
 
+def test_series_identity_rejects_a_bound_below_n():
+    for g, n, bound in [(0, 4, 3), (0, 3, 2), (1, 1, 0)]:
+        with pytest.raises(ValueError):
+            series_identity(g, n, bound)
+
+
 def test_series_identity_higher_genus():
     # not required below, but the same bridge holds at genus two and three
     assert series_identity(2, 1, 10) == 10

@@ -1,9 +1,14 @@
+import functools
 import json
+import os
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from ribbonvol import clear_caches
 from ribbonvol.lattice import (
     CountTable,
     census,
@@ -12,8 +17,88 @@ from ribbonvol.lattice import (
     oracle_n11,
     recursion_rhs,
 )
+from ribbonvol.surface import enumerate_splittings, perimeter_vectors
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the recursion summed by its direct loops: O(p) per j-sum and O(p^2) over
+# (q1, q2), the reference for the prefix-moment form in the package
+
+
+@functools.lru_cache(maxsize=None)
+def _direct(g, n, p):
+    # p sorted descending
+    if 0 in p or sum(p) % 2:
+        return F(0)
+    if (g, n) == (0, 3):
+        return F(1)
+    if (g, n) == (1, 1):
+        return F(p[0] ** 2 - 4, 48)
+    return _direct_rhs(g, n, p[0], p[1:]) / p[0]
+
+
+def _direct_count(g, n, p):
+    return _direct(g, n, tuple(sorted(p, reverse=True)))
+
+
+def _direct_rhs(g, n, p1, rest):
+    total = F(0)
+    for idx in range(len(rest)):
+        pj = rest[idx]
+        others = rest[:idx] + rest[idx + 1 :]
+        parity = sum(others) % 2
+        s = F(0)
+        for q in range(2 - parity, p1 + pj, 2):
+            s += q * (p1 + pj - q) * _direct_count(g, n - 1, (q,) + others)
+        if p1 > pj:
+            for q in range(2 - parity, p1 - pj, 2):
+                s += q * (p1 - pj - q) * _direct_count(g, n - 1, (q,) + others)
+        elif pj > p1:
+            for q in range(2 - parity, pj - p1, 2):
+                s -= q * (pj - p1 - q) * _direct_count(g, n - 1, (q,) + others)
+        total += s
+
+    splittings = enumerate_splittings(g, range(len(rest)))
+    if g >= 1 or splittings:
+        for q1 in range(1, p1 - 1):
+            for q2 in range(1, p1 - q1):
+                w = q1 * q2 * (p1 - q1 - q2)
+                bracket = F(0)
+                if g >= 1:
+                    bracket += _direct_count(g - 1, n + 1, (q1, q2) + rest)
+                for sp in splittings:
+                    part1 = tuple(rest[i] for i in sp.part1)
+                    left = _direct_count(sp.g1, len(part1) + 1, (q1,) + part1)
+                    if left:
+                        part2 = tuple(rest[i] for i in sp.part2)
+                        bracket += left * _direct_count(sp.g2, len(part2) + 1, (q2,) + part2)
+                if bracket:
+                    total += w * bracket
+    return total / 2
+
+
+@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)])
+def test_moment_sums_equal_the_direct_loops(g, n):
+    for p in perimeter_vectors(n, 16, ascending=True):
+        expected = _direct_count(g, n, p)
+        assert count(g, n, p) == expected, p
+        if (g, n) not in ((0, 3), (1, 1)):
+            # every pivot, so the negatively signed j-term is read too
+            assert {recursion_rhs(g, n, p, pivot) for pivot in range(n)} == {expected}, p
+
+
+def test_moment_tables_answer_the_same_in_either_order():
+    clear_caches()
+    cold = count(2, 2, (6, 4))
+    assert cold == _direct_count(2, 2, (6, 4))
+    clear_caches()
+    count(2, 2, (20, 20))
+    assert count(2, 2, (6, 4)) == cold
+    # the diagonal table of (2, 2, (4,)) grown past p_1 = 6 first
+    count(2, 2, (20, 4))
+    assert {recursion_rhs(2, 2, (6, 4), pivot) for pivot in (0, 1)} == {cold}
 
 
 def test_base_cases():
@@ -145,6 +230,56 @@ def test_census_cache_ignores_foreign_files(tmp_path):
     target.write_text(json.dumps({"format": "something-else"}))
     table = census(1, 1, 6, cache_dir=str(tmp_path))
     assert table.entries[(6,)] == F(2, 3)
+
+
+def _run_threads(target, workers):
+    errors = []
+
+    def run():
+        try:
+            target()
+        except Exception as exc:  # reported by the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+def test_concurrent_counts_agree():
+    points = [(2, 2, (12, 10)), (1, 3, (10, 8, 6)), (0, 5, (6, 5, 4, 3, 2))]
+    expected = {point: _direct_count(*point) for point in points}
+    results = []
+
+    def work():
+        results.append({point: count(*point) for point in points})
+
+    clear_caches()
+    assert _run_threads(work, workers=8) == []
+    assert results == [expected] * 8
+
+
+def test_concurrent_census_writers_share_no_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("RIBBONVOL_CACHE_DIR", raising=False)
+    expected = census(1, 2, 16).entries
+    target = tmp_path / "census-g1-n2-P16.json"
+    # the memo is warm, so the writers reach the file together
+    for _ in range(8):
+        assert _run_threads(lambda: census(1, 2, 16, cache_dir=str(tmp_path)), workers=8) == []
+        # nothing left behind but the table, and the table loads as written
+        assert os.listdir(tmp_path) == [target.name]
+        doc = json.loads(target.read_text())
+        assert CountTable.from_json_dict(doc).entries == expected
+        target.unlink()
 
 
 def test_census_cache_env_var(tmp_path, monkeypatch):

@@ -1,6 +1,14 @@
+from itertools import product
+
 import pytest
 
-from ribbonvol.surface import Splitting, SurfaceType, enumerate_splittings, is_stable
+from ribbonvol.surface import (
+    Splitting,
+    SurfaceType,
+    enumerate_splittings,
+    is_stable,
+    perimeter_vectors,
+)
 
 
 def test_stability():
@@ -57,3 +65,12 @@ def test_validation():
         enumerate_splittings(-1, ())
     with pytest.raises(ValueError):
         enumerate_splittings(1, ("a", "a"))
+
+
+def test_perimeter_vectors_in_lexicographic_order():
+    for n in range(1, 5):
+        for max_sum in range(10):
+            every = [p for p in product(range(1, max_sum + 1), repeat=n) if sum(p) <= max_sum]
+            assert list(perimeter_vectors(n, max_sum)) == every
+            ascending = [p for p in every if list(p) == sorted(p)]
+            assert list(perimeter_vectors(n, max_sum, ascending=True)) == ascending
