@@ -30,12 +30,11 @@ from .eo import (
 )
 from .exactmath import (
     EvenLaurentPoly,
-    TruncatedSeries,
     divided_difference,
     laurent_to_series,
 )
 from .lattice import CountTable, census, count, recursion_rhs
-from .surface import Splitting, SurfaceType, enumerate_splittings, is_stable
+from .surface import Splitting, enumerate_splittings, is_stable
 from .transform import (
     CONFIGS,
     EUCLIDEAN,
@@ -63,9 +62,7 @@ __all__ = [
     "RecursionConfig",
     "SpectralCurveSpec",
     "Splitting",
-    "SurfaceType",
     "SYMPLECTIC",
-    "TruncatedSeries",
     "cache_info",
     "census",
     "check_kernel_identity",

@@ -29,7 +29,7 @@ from .crosscheck import (
 )
 from .eo import CURVES, verify_eo
 from .lattice import census, count
-from .surface import is_stable
+from .surface import is_stable, stable_types
 from .transform import (
     CONFIGS,
     LAPLACE,
@@ -68,15 +68,6 @@ def _poly_text(poly) -> str:
         body = " ".join(factors) if factors else "1"
         pieces.append(f"({coeff}) {body}")
     return " + ".join(pieces)
-
-
-def _stable_types(max_complexity: int) -> list[tuple[int, int]]:
-    out = []
-    for g in range(max_complexity // 2 + 2):
-        for n in range(1, max_complexity + 3):
-            if 0 < 2 * g - 2 + n <= max_complexity:
-                out.append((g, n))
-    return sorted(out, key=lambda t: (2 * t[0] - 2 + t[1], t[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +135,7 @@ def _verify_cases(suite: str, level: int | None, seed: int, trials: int):
             yield suite, f"L({g},{n})", ok, "matches closed form"
     elif suite == "ratio":
         bound = level if level is not None else 5
-        for g, n in _stable_types(bound):
+        for g, n in stable_types(bound):
             target = Fraction(2) ** (5 * g - 5 + 2 * n)
             try:
                 ok = kontsevich_ratio(g, n) == target
@@ -153,7 +144,7 @@ def _verify_cases(suite: str, level: int | None, seed: int, trials: int):
             yield suite, f"VS/VE({g},{n})", ok, f"2^{5 * g - 5 + 2 * n}"
     elif suite == "leading":
         bound = level if level is not None else 5
-        for g, n in _stable_types(bound):
+        for g, n in stable_types(bound):
             yield suite, f"VE({g},{n})", euclidean_matches_leading(g, n), "top part of L"
     elif suite == "series":
         bound = level if level is not None else 12

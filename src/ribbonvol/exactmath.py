@@ -1,4 +1,5 @@
-"""Exact sparse arithmetic for even Laurent polynomials and truncated series.
+"""Exact sparse arithmetic for even Laurent polynomials, and their expansion
+in the lattice variables x_j by closed-form edge coefficients.
 
 Everything downstream (graph counts, volume polynomials, residue checks)
 works with Laurent polynomials that contain only even powers of each
@@ -21,6 +22,12 @@ and ``terms`` is a read-only ``types.MappingProxyType`` view of the private
 dict, so a polynomial shared through a memo table cannot be altered by a
 caller and is safe under concurrent readers.
 
+The expansion ``laurent_to_series`` substitutes t_j = (x_j + 1)/(x_j - 1)
+into ``p * prod_j (t_j^2 - 1)/2``.  It needs no series arithmetic: the x^m
+coefficient of one factor ``t^{2a} (t^2 - 1)/2`` is the finite binomial sum
+``edge_coefficient(a, m)``, so the coefficient of ``x^m`` in the product is
+``sum over terms c * u^a of c * prod_j edge_coefficient(a_j, m_j)``.
+
 Coefficients use ``fractions.Fraction`` directly -- arbitrary precision,
 always reduced, positive denominator -- and are serialized as exact
 ``"numerator/denominator"`` strings, never floats.
@@ -29,11 +36,12 @@ always reduced, positive denominator -- and are serialized as exact
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
-from operator import add
+from math import comb, lcm, prod
+from operator import add, getitem
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+from .surface import perimeter_vectors
 
 Exponents = tuple[int, ...]
 
@@ -434,7 +442,8 @@ class TruncatedSeries:
     """A multivariate power series kept to total degree <= order.
 
     Exponent vectors are componentwise nonnegative; coefficients are exact
-    rationals.  Addition and multiplication truncate to the common order.
+    rationals.  ``laurent_to_series`` builds these; the constructor checks
+    outside input the same way ``EvenLaurentPoly``'s does.
     """
 
     __slots__ = ("arity", "order", "terms")
@@ -462,31 +471,6 @@ class TruncatedSeries:
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.arity != other.arity or self.order != other.order:
-            raise ValueError("series shapes differ")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _accumulate(out, e, c)
-        return TruncatedSeries(self.arity, self.order, out)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            if self.arity != other.arity or self.order != other.order:
-                raise ValueError("series shapes differ")
-            out: dict[Exponents, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                d1 = sum(e1)
-                for e2, c2 in other.terms.items():
-                    if d1 + sum(e2) > self.order:
-                        continue
-                    _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
-            return TruncatedSeries(self.arity, self.order, out)
-        c = _as_fraction(other)
-        return TruncatedSeries(self.arity, self.order, {e: c * v for e, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedSeries)
@@ -500,61 +484,51 @@ class TruncatedSeries:
         return f"TruncatedSeries(arity={self.arity}, order={self.order}, {len(self.terms)} terms)"
 
 
-@lru_cache(maxsize=None)
-def _edge_series(a: int, order: int) -> tuple[Fraction, ...]:
-    """Coefficients (index = power of x) of t^{2a} * (t^2 - 1)/2 under
-    t = (x+1)/(x-1), expanded at x = 0.
+def edge_coefficient(a: int, m: int) -> int:
+    """The x^m coefficient of ``t^{2a} (t^2 - 1)/2`` under t = (x+1)/(x-1).
 
-    For a >= 0 this is 2x (x+1)^{2a} / (x-1)^{2a+2}; for a = -b < 0 it is
-    2x (x-1)^{2b-2} / (x+1)^{2b}.  Both are analytic at 0 and start at x^1.
+    For a >= 0 the series is 2x (1+x)^{2a} (1-x)^{-(2a+2)}; for a = -b < 0
+    it is 2x (x-1)^{2b-2} (1+x)^{-2b}.  Both start at x^1, so the
+    coefficient is 0 for m < 1, and otherwise a finite binomial sum:
+
+        a >= 0:      2 sum_i C(2a, i) C(2a + m - i, 2a + 1)
+        a = -b < 0:  2 (-1)^{m-1} sum_i C(2b - 2, i) C(2b + m - 2 - i, 2b - 1)
     """
-    coeffs = [Fraction(0)] * (order + 1)
+    if m < 1:
+        return 0
     if a >= 0:
-        # (x-1)^{-(2a+2)} = (1-x)^{-(2a+2)} since the exponent is even
-        k = 2 * a + 2
-        tail = [Fraction(comb(k - 1 + m, k - 1)) for m in range(order + 1)]
-        head = [Fraction(comb(2 * a, i)) for i in range(2 * a + 1)]
-    else:
-        b = -a
-        k = 2 * b
-        tail = [Fraction((-1) ** m * comb(k - 1 + m, k - 1)) for m in range(order + 1)]
-        head = [Fraction((-1) ** (2 * b - 2 - i) * comb(2 * b - 2, i)) for i in range(2 * b - 1)]
-    # multiply head * tail, shift by one (the factor 2x)
-    for i, h in enumerate(head):
-        if not h:
-            continue
-        for m, t in enumerate(tail):
-            pos = i + m + 1
-            if pos > order:
-                break
-            coeffs[pos] += 2 * h * t
-    return tuple(coeffs)
+        return 2 * sum(
+            comb(2 * a, i) * comb(2 * a + m - i, 2 * a + 1) for i in range(min(2 * a, m - 1) + 1)
+        )
+    b = -a
+    return 2 * (-1) ** (m - 1) * sum(
+        comb(2 * b - 2, i) * comb(2 * b + m - 2 - i, 2 * b - 1)
+        for i in range(min(2 * b - 2, m - 1) + 1)
+    )
 
 
 def laurent_to_series(p: EvenLaurentPoly, order: int) -> TruncatedSeries:
     """Expand ``p(t(x)) * prod_j (t_j^2 - 1)/2`` at x = 0, truncated to
     total degree ``order``, where ``t_j = (x_j + 1)/(x_j - 1)``.
 
-    Every monomial contributes a product of univariate series each of
-    which carries one power of x_j, so no output term has a zero exponent.
+    A term ``c * u^a`` contributes ``c * prod_j edge_coefficient(a_j, m_j)``
+    to the coefficient of ``x^m``; each factor starts at x_j^1, so only
+    positive vectors m with ``sum(m) <= order`` carry a coefficient.
     """
-    n = p.arity
-    acc: dict[Exponents, Fraction] = {}
-    for exps, coeff in p._terms.items():
-        partial: dict[Exponents, Fraction] = {(): coeff}
-        for a in exps:
-            series = _edge_series(a, order)
-            # distinct (stem, m) give distinct keys stem + (m,)
-            grown: dict[Exponents, Fraction] = {}
-            for stem, c in partial.items():
-                room = order - sum(stem)
-                for m in range(1, room + 1):
-                    s = series[m]
-                    if s:
-                        grown[stem + (m,)] = c * s
-            partial = grown
-            if not partial:
-                break
-        for key, c in partial.items():
-            _accumulate(acc, key, c)
-    return TruncatedSeries(n, order, acc)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    # numerators over one common denominator, so each vector sums integers
+    den = lcm(*(c.denominator for c in p._terms.values()))
+    # per exponent a, the row m -> e(a, m) for m <= order
+    exponents = {a for exps in p._terms for a in exps}
+    rows = {a: [edge_coefficient(a, m) for m in range(order + 1)] for a in exponents}
+    weighted = [
+        (c.numerator * (den // c.denominator), [rows[a] for a in exps])
+        for exps, c in p._terms.items()
+    ]
+    out: dict[Exponents, Fraction] = {}
+    for m in perimeter_vectors(p.arity, order):
+        total = sum(prod(map(getitem, cols, m), start=num) for num, cols in weighted)
+        if total:
+            out[m] = Fraction(total, den)
+    return TruncatedSeries(p.arity, order, out)

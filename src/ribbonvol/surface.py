@@ -7,28 +7,20 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
-@dataclass(frozen=True, order=True)
-class SurfaceType:
-    """Genus g with n labeled boundary components."""
-
-    g: int
-    n: int
-
-    def __post_init__(self):
-        if self.g < 0 or self.n < 0:
-            raise ValueError("genus and boundary count must be nonnegative")
-
-    @property
-    def complexity(self) -> int:
-        return 2 * self.g - 2 + self.n
-
-    def is_stable(self) -> bool:
-        return self.complexity > 0
-
-
 def is_stable(g: int, n: int) -> bool:
-    """2g - 2 + n > 0, the domain of every recursion in this package."""
-    return 2 * g - 2 + n > 0
+    """g >= 0, n >= 0 and 2g - 2 + n > 0: the domain of every recursion in
+    this package, and the one check every entry point makes."""
+    return g >= 0 and n >= 0 and 2 * g - 2 + n > 0
+
+
+def stable_types(max_complexity: int) -> list[tuple[int, int]]:
+    """Every stable (g, n) with n >= 1 and 2g - 2 + n <= ``max_complexity``,
+    ordered by complexity, then genus."""
+    return [
+        (g, c + 2 - 2 * g)
+        for c in range(1, max_complexity + 1)
+        for g in range((c + 1) // 2 + 1)
+    ]
 
 
 def perimeter_vectors(n: int, max_sum: int, ascending: bool = False) -> Iterator[tuple]:

@@ -21,6 +21,7 @@ from ribbonvol.crosscheck import (
 from ribbonvol.eo import CURVES, sample_spectators, verify_eo
 from ribbonvol.exactmath import EvenLaurentPoly, divided_difference
 from ribbonvol.lattice import census, count, oracle_n11
+from ribbonvol.surface import stable_types
 from ribbonvol.transform import (
     EUCLIDEAN,
     LAPLACE,
@@ -34,9 +35,7 @@ from ribbonvol.transform import (
 F = Fraction
 
 GOLDEN_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (3, 1)]
-LEVEL_5 = [
-    (g, n) for g in range(4) for n in range(1, 8) if 0 < 2 * g - 2 + n <= 5
-]
+LEVEL_5 = stable_types(5)
 SERIES_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2)]
 EO_TYPES = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]
 

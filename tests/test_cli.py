@@ -80,6 +80,26 @@ def test_census_rejects_a_bound_without_vectors(capsys):
         assert "max_sum must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--gn=-1,5", "--p=1,2,2,2,2"],
+        ["count", "--gn=-1,5", "--max-sum=5"],
+        ["count", "--gn=2,-1", "--p=1"],
+        ["poly", "L", "-1", "5"],
+        ["poly", "VS", "2", "-1"],
+        ["intersect", "-1", "5"],
+    ],
+)
+def test_negative_genus_or_boundary_count_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "not a stable surface type" in captured.err
+    assert captured.out == ""
+
+
 def test_poly_text(capsys):
     code, out = run(capsys, "poly", "VS", "1", "1")
     assert code == 0

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from ribbonvol.exactmath import (
     EvenLaurentPoly,
-    TruncatedSeries,
     _check_quotient,
     divided_difference,
+    edge_coefficient,
     laurent_to_series,
 )
+from ribbonvol.surface import stable_types
+from ribbonvol.transform import LAPLACE, compute
 
 F = Fraction
 
@@ -256,15 +259,64 @@ def test_series_three_variable_spot_coefficient():
     assert all(0 not in e for e in s.terms)
 
 
-def test_truncated_series_arithmetic():
-    a = TruncatedSeries(1, 3, {(1,): 1, (2,): 2})
-    b = TruncatedSeries(1, 3, {(1,): 3})
-    assert (a + b).coefficient((1,)) == 4
-    prod = a * b
-    assert prod.coefficient((2,)) == 3
-    assert prod.coefficient((3,)) == 6
-    assert prod.coefficient((4,)) == 0  # beyond the order: truncated away
+def _reference_edge_series(a, order):
+    """x^0..x^order coefficients of t^{2a} (t^2 - 1)/2, t = (x+1)/(x-1), by
+    the head x tail convolution: 2x (x+1)^{2a} / (x-1)^{2a+2} for a >= 0,
+    2x (x-1)^{2b-2} / (x+1)^{2b} for a = -b < 0."""
+    coeffs = [0] * (order + 1)
+    if a >= 0:
+        k = 2 * a + 2
+        tail = [comb(k - 1 + m, k - 1) for m in range(order + 1)]
+        head = [comb(2 * a, i) for i in range(2 * a + 1)]
+    else:
+        b = -a
+        k = 2 * b
+        tail = [(-1) ** m * comb(k - 1 + m, k - 1) for m in range(order + 1)]
+        head = [(-1) ** (2 * b - 2 - i) * comb(2 * b - 2, i) for i in range(2 * b - 1)]
+    for i, h in enumerate(head):
+        for m, t in enumerate(tail):
+            if i + m + 1 <= order:
+                coeffs[i + m + 1] += 2 * h * t
+    return coeffs
+
+
+def _reference_series_terms(p, order):
+    """The parent's nested-dict expansion, one variable at a time."""
+    acc = {}
+    for exps, coeff in p.terms.items():
+        partial = {(): coeff}
+        for a in exps:
+            series = _reference_edge_series(a, order)
+            partial = {
+                stem + (m,): c * series[m]
+                for stem, c in partial.items()
+                for m in range(1, order - sum(stem) + 1)
+                if series[m]
+            }
+        for key, c in partial.items():
+            acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def test_edge_coefficient_matches_the_convolution():
+    order = 30
+    for a in range(-8, 9):
+        assert [edge_coefficient(a, m) for m in range(order + 1)] == _reference_edge_series(a, order), a
+        assert edge_coefficient(a, 0) == 0
+        assert edge_coefficient(a, -1) == 0
+
+
+def test_series_of_every_small_type_matches_the_convolution():
+    for g, n in stable_types(3):
+        p = compute(LAPLACE, g, n)
+        assert laurent_to_series(p, 12).terms == _reference_series_terms(p, 12), (g, n)
+
+
+def test_series_edge_cases():
     with pytest.raises(ValueError):
-        a + TruncatedSeries(1, 4)
+        laurent_to_series(EvenLaurentPoly.constant(2, 1), -1)
     with pytest.raises(ValueError):
-        a + TruncatedSeries(2, 3)
+        laurent_to_series(EvenLaurentPoly.zero(0), -1)
+    # arity 0: the constant itself, at the empty exponent vector
+    assert laurent_to_series(EvenLaurentPoly.constant(0, F(3, 4)), 5).terms == {(): F(3, 4)}
+    assert laurent_to_series(EvenLaurentPoly.zero(3), 8).terms == {}

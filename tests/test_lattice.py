@@ -186,6 +186,16 @@ def test_validation():
         count(0, 3, (1, 2, -3))
 
 
+
+def test_negative_genus_is_rejected():
+    # 2g - 2 + n = 1 here, but there is no surface of genus -1
+    with pytest.raises(ValueError, match="not stable"):
+        count(-1, 5, (1, 2, 2, 2, 2))
+    with pytest.raises(ValueError, match="not stable"):
+        census(-1, 5, 5)
+    with pytest.raises(ValueError, match="not stable"):
+        recursion_rhs(-1, 5, (1, 2, 2, 2, 2), 0)
+
 def test_bool_perimeters_and_empty_census_are_rejected():
     with pytest.raises(ValueError):
         count(1, 1, (True,))

@@ -4,10 +4,10 @@ import pytest
 
 from ribbonvol.surface import (
     Splitting,
-    SurfaceType,
     enumerate_splittings,
     is_stable,
     perimeter_vectors,
+    stable_types,
 )
 
 
@@ -21,11 +21,24 @@ def test_stability():
     assert is_stable(5, 7)
 
 
-def test_surface_type():
-    s = SurfaceType(1, 2)
-    assert s.complexity == 2
-    assert s.is_stable()
-    assert not SurfaceType(0, 2).is_stable()
+def test_negative_genus_or_boundary_count_is_not_stable():
+    # 2g - 2 + n alone is positive for all of these
+    assert not is_stable(-1, 5)
+    assert not is_stable(-2, 9)
+    assert not is_stable(2, -1)
+    assert not is_stable(3, -3)
+
+
+def test_stable_types_in_complexity_then_genus_order():
+    for bound in range(-1, 9):
+        every = [
+            (g, n)
+            for g in range(bound + 1)
+            for n in range(1, bound + 3)
+            if is_stable(g, n) and 2 * g - 2 + n <= bound
+        ]
+        assert stable_types(bound) == sorted(every, key=lambda t: (2 * t[0] - 2 + t[1], t[0]))
+    assert stable_types(2) == [(0, 3), (1, 1), (0, 4), (1, 2)]
 
 
 def test_no_splittings_for_small_types():

@@ -8,6 +8,7 @@ from ribbonvol import cache_info, clear_caches
 from ribbonvol.crosscheck import golden_laplace
 from ribbonvol.exactmath import EvenLaurentPoly
 from ribbonvol.lattice import count
+from ribbonvol.surface import stable_types
 from ribbonvol.transform import (
     CONFIGS,
     EUCLIDEAN,
@@ -21,12 +22,7 @@ from ribbonvol.transform import (
 
 F = Fraction
 
-STABLE_TO_LEVEL_5 = [
-    (g, n)
-    for g in range(4)
-    for n in range(1, 8)
-    if 0 < 2 * g - 2 + n <= 5
-]
+STABLE_TO_LEVEL_5 = stable_types(5)
 
 
 def test_base_cases_verbatim():
@@ -83,6 +79,10 @@ def test_unstable_input_rejected():
         compute(LAPLACE, 0, 2)
     with pytest.raises(ValueError):
         compute(SYMPLECTIC, 0, 0)
+    # rejected by the entry check itself, not by a recursive call below it
+    for config in (LAPLACE, SYMPLECTIC):
+        with pytest.raises(ValueError, match=r"\(-1, 5\) is not stable"):
+            compute(config, -1, 5)
 
 
 def test_symmetry_under_slot_permutations():
