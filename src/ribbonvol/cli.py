@@ -99,6 +99,8 @@ def _cmd_count(args, parser) -> int:
         table = census(g, n, args.max_sum, cache_dir=args.cache_dir)
     except ValueError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        parser.error(f"census cache: {exc}")
     if args.format == "csv":
         sys.stdout.write(table.csv_text())
     elif args.format == "json":

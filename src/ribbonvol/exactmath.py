@@ -10,17 +10,23 @@ variable t_j.  Such a polynomial is stored sparsely as a mapping
 where ``a_j`` is the (possibly negative) exponent of ``u_j = t_j**2``.
 The total degree in t of a term is therefore ``2 * sum(a)``.
 
-Canonical form: each key is a tuple of exactly ``arity`` ints, no key
-occurs twice, and every value is a nonzero ``fractions.Fraction``.  The
-public constructors check outside input and normalize it into this form.
-Every ``EvenLaurentPoly`` operation builds a result that is canonical by
-construction (sums go through ``_accumulate``, which drops what cancels)
-and stores it through the private ``_trusted`` constructor unchecked.
+Canonical form: the coefficients are integer numerators ``_num`` (a dict
+keyed by tuples of exactly ``arity`` ints) over one common denominator
+``_den``, with ``_den > 0``, no zero numerator and
+``gcd(_den, *numerators) == 1`` (so the zero polynomial has ``_den == 1``).
+Two polynomials are equal exactly when their arity, ``_den`` and ``_num``
+are.  The public constructors check outside input and bring it into this
+form.  Every ``EvenLaurentPoly`` operation works on the integers alone --
+no gcd per add or multiply, one gcd pass per result -- and stores its
+result through the private ``_trusted`` constructor unchecked, after
+``_canonical`` has dropped what cancelled and divided out the common
+factor.
 
 Immutability is enforced, not a convention: attributes cannot be rebound,
-and ``terms`` is a read-only ``types.MappingProxyType`` view of the private
-dict, so a polynomial shared through a memo table cannot be altered by a
-caller and is safe under concurrent readers.
+and ``terms`` is a read-only ``types.MappingProxyType`` of exponents to
+``Fraction``, built on first access and kept (the polynomial cannot change
+under it), so a polynomial shared through a memo table cannot be altered
+by a caller and is safe under concurrent readers.
 
 The expansion ``laurent_to_series`` substitutes t_j = (x_j + 1)/(x_j - 1)
 into ``p * prod_j (t_j^2 - 1)/2``.  It needs no series arithmetic: the x^m
@@ -28,16 +34,16 @@ coefficient of one factor ``t^{2a} (t^2 - 1)/2`` is the finite binomial sum
 ``edge_coefficient(a, m)``, so the coefficient of ``x^m`` in the product is
 ``sum over terms c * u^a of c * prod_j edge_coefficient(a_j, m_j)``.
 
-Coefficients use ``fractions.Fraction`` directly -- arbitrary precision,
-always reduced, positive denominator -- and are serialized as exact
+Coefficients are exact -- arbitrary-precision integers inside, reduced
+``fractions.Fraction`` values at the API -- and are serialized as exact
 ``"numerator/denominator"`` strings, never floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
-from operator import add, getitem
+from math import comb, gcd, lcm, prod
+from operator import add, getitem, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -66,6 +72,48 @@ def _accumulate(out: dict, key, c: Fraction) -> None:
         out.pop(key, None)
 
 
+def _canonical(arity: int, num: dict, den: int) -> "EvenLaurentPoly":
+    """The polynomial ``sum num[e] u^e / den`` (``den > 0``) in canonical
+    form: zero numerators dropped, then numerators and ``den`` divided by
+    their gcd.  ``num`` must not be used again."""
+    if 0 in num.values():
+        num = {e: c for e, c in num.items() if c}
+    if not num:
+        return EvenLaurentPoly._trusted(arity, num, 1)
+    common = gcd(den, *num.values())
+    if common != 1:
+        num = {e: c // common for e, c in num.items()}
+        den //= common
+    return EvenLaurentPoly._trusted(arity, num, den)
+
+
+def _substitute_values(poly: "EvenLaurentPoly", values: Mapping[int, object]) -> "EvenLaurentPoly":
+    """``poly`` with ``u_var = x**2`` put in for every ``var -> x`` of
+    ``values``; the other slots keep their order."""
+    keep = [i for i in range(poly.arity) if i not in values]
+    den = poly._den
+    tables = []  # (var, exponent -> integer factor over the common denominator)
+    for var, x in values.items():
+        x = _as_fraction(x)
+        p, q = x.numerator**2, x.denominator**2
+        used = {e[var] for e in poly._num}
+        top = max(max(used, default=0), 0)
+        bottom = max(-min(used, default=0), 0)
+        if p == 0 and bottom:
+            raise ZeroDivisionError("negative exponent at a zero coordinate")
+        # u^e = (p/q)^e = p^(e + bottom) q^(top - e) / (p^bottom q^top)
+        tables.append((var, {e: p ** (e + bottom) * q ** (top - e) for e in used}))
+        den *= p**bottom * q**top
+    out: dict[Exponents, int] = {}
+    get = out.get
+    for exps, c in poly._num.items():
+        for var, table in tables:
+            c *= table[exps[var]]
+        key = tuple([exps[i] for i in keep])
+        out[key] = get(key, 0) + c
+    return _canonical(len(keep), out, den)
+
+
 class EvenLaurentPoly:
     """A Laurent polynomial in t_1..t_n involving only even powers.
 
@@ -79,7 +127,7 @@ class EvenLaurentPoly:
         Zero coefficients are dropped on construction.
     """
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ("arity", "_num", "_den", "_view")
 
     def __init__(self, arity: int, terms: Mapping[Sequence[int], object] | None = None):
         if arity < 0:
@@ -92,16 +140,18 @@ class EvenLaurentPoly:
             if not all(isinstance(e, int) for e in key):
                 raise ValueError(f"exponents must be integers: {key}")
             _accumulate(clean, key, _as_fraction(coeff))
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", clean)
+        # reduced fractions over the lcm of their denominators: the numerators
+        # and the lcm have no common factor, so the result is canonical
+        den = lcm(*(c.denominator for c in clean.values()))
+        _fill(self, arity, {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
 
     @classmethod
-    def _trusted(cls, arity: int, terms: dict[Exponents, Fraction]) -> "EvenLaurentPoly":
-        """Wrap a dict that is already canonical (see the module docstring),
-        without copying or checking it.  The dict must not be used again."""
+    def _trusted(cls, arity: int, num: dict[Exponents, int], den: int) -> "EvenLaurentPoly":
+        """Wrap numerators and a denominator that are already canonical (see
+        the module docstring), without copying or checking them.  The dict
+        must not be used again."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "arity", arity)
-        object.__setattr__(poly, "_terms", terms)
+        _fill(poly, arity, num, den)
         return poly
 
     def __setattr__(self, name, value):
@@ -110,7 +160,13 @@ class EvenLaurentPoly:
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
         """Read-only view of the exponent-vector -> coefficient mapping."""
-        return MappingProxyType(self._terms)
+        view = self._view
+        if view is None:
+            # built once: the polynomial cannot change under its view
+            den = self._den
+            view = MappingProxyType({e: Fraction(c, den) for e, c in self._num.items()})
+            object.__setattr__(self, "_view", view)
+        return view
 
     # -- constructors ---------------------------------------------------
 
@@ -129,13 +185,18 @@ class EvenLaurentPoly:
     @classmethod
     def sum(cls, arity: int, polys: Iterable["EvenLaurentPoly"]) -> "EvenLaurentPoly":
         """The sum of ``polys``, accumulated in one dict."""
-        out: dict[Exponents, Fraction] = {}
+        polys = list(polys)
         for poly in polys:
             if poly.arity != arity:
                 raise ValueError(f"arity mismatch: {poly.arity} != {arity}")
-            for exps, c in poly._terms.items():
-                _accumulate(out, exps, c)
-        return cls._trusted(arity, out)
+        den = lcm(*(poly._den for poly in polys))
+        out: dict[Exponents, int] = {}
+        get = out.get
+        for poly in polys:
+            scale = den // poly._den
+            for exps, c in poly._num.items():
+                out[exps] = get(exps, 0) + c * scale
+        return _canonical(arity, out, den)
 
     # -- ring operations ------------------------------------------------
 
@@ -145,13 +206,11 @@ class EvenLaurentPoly:
 
     def __add__(self, other: "EvenLaurentPoly") -> "EvenLaurentPoly":
         self._require_same_shape(other)
-        out = dict(self._terms)
-        for exps, c in other._terms.items():
-            _accumulate(out, exps, c)
-        return EvenLaurentPoly._trusted(self.arity, out)
+        return EvenLaurentPoly.sum(self.arity, (self, other))
 
     def __neg__(self) -> "EvenLaurentPoly":
-        return EvenLaurentPoly._trusted(self.arity, {e: -c for e, c in self._terms.items()})
+        negated = {e: -c for e, c in self._num.items()}
+        return EvenLaurentPoly._trusted(self.arity, negated, self._den)
 
     def __sub__(self, other: "EvenLaurentPoly") -> "EvenLaurentPoly":
         return self + (-other)
@@ -159,15 +218,19 @@ class EvenLaurentPoly:
     def __mul__(self, other) -> "EvenLaurentPoly":
         if isinstance(other, EvenLaurentPoly):
             self._require_same_shape(other)
-            out: dict[Exponents, Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
-            return EvenLaurentPoly._trusted(self.arity, out)
+            out: dict[Exponents, int] = {}
+            get = out.get
+            right = other._num.items()
+            for e1, c1 in self._num.items():
+                for e2, c2 in right:
+                    key = tuple(map(add, e1, e2))
+                    out[key] = get(key, 0) + c1 * c2
+            return _canonical(self.arity, out, self._den * other._den)
         c = _as_fraction(other)
-        if not c:
-            return EvenLaurentPoly._trusted(self.arity, {})
-        return EvenLaurentPoly._trusted(self.arity, {e: c * v for e, v in self._terms.items()})
+        scale = c.numerator
+        return _canonical(
+            self.arity, {e: v * scale for e, v in self._num.items()}, self._den * c.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -187,16 +250,17 @@ class EvenLaurentPoly:
         return (
             isinstance(other, EvenLaurentPoly)
             and self.arity == other.arity
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     __hash__ = None  # compared by value; not meant as a dict key
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return f"EvenLaurentPoly({self.arity}, 0)"
         bits = [f"{c}*u^{list(e)}" for e, c in self.sorted_terms()]
         return f"EvenLaurentPoly({self.arity}, {' + '.join(bits)})"
@@ -207,13 +271,14 @@ class EvenLaurentPoly:
         """Partial derivative with respect to ``u_var = t_var**2`` (0-based)."""
         self._check_var(var)
         # lowering one exponent is injective, so no two terms meet
-        return EvenLaurentPoly._trusted(
+        return _canonical(
             self.arity,
             {
                 e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
-                for e, c in self._terms.items()
+                for e, c in self._num.items()
                 if e[var]
             },
+            self._den,
         )
 
     def shift(self, var: int, k: int) -> "EvenLaurentPoly":
@@ -221,7 +286,8 @@ class EvenLaurentPoly:
         self._check_var(var)
         return EvenLaurentPoly._trusted(
             self.arity,
-            {e[:var] + (e[var] + k,) + e[var + 1 :]: c for e, c in self._terms.items()},
+            {e[:var] + (e[var] + k,) + e[var + 1 :]: c for e, c in self._num.items()},
+            self._den,
         )
 
     def substitute_slots(self, mapping: Mapping[int, int], new_arity: int) -> "EvenLaurentPoly":
@@ -235,18 +301,28 @@ class EvenLaurentPoly:
             raise ValueError("slot map must be injective")
         if any(not 0 <= s < new_arity for s in targets):
             raise ValueError("slot map target out of range")
+        unmapped = [old for old in range(self.arity) if old not in mapping]
+        # new slot -> old slot, or the index of a 0 appended to the exponents
+        source = [self.arity] * new_arity
+        for old, new in mapping.items():
+            if 0 <= old < self.arity:
+                source[new] = old
+        pad = (0,) if self.arity in source else ()
+        if new_arity > 1:
+            pick = itemgetter(*source)
+        else:  # itemgetter returns a bare item, not a tuple, for one index
+
+            def pick(padded):
+                return tuple(padded[s] for s in source)
+
         # an injective map of the used slots keeps distinct terms distinct
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self._terms.items():
-            key = [0] * new_arity
-            for old, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if old not in mapping:
+        out: dict[Exponents, int] = {}
+        for exps, c in self._num.items():
+            for old in unmapped:
+                if exps[old]:
                     raise ValueError(f"slot {old} used but not mapped")
-                key[mapping[old]] = e
-            out[tuple(key)] = c
-        return EvenLaurentPoly._trusted(new_arity, out)
+            out[pick(exps + pad)] = c
+        return EvenLaurentPoly._trusted(new_arity, out, self._den)
 
     def diagonal_merge(self, keep: int, absorb: int) -> "EvenLaurentPoly":
         """Identify variable ``absorb`` with variable ``keep`` (0-based).
@@ -258,47 +334,39 @@ class EvenLaurentPoly:
         self._check_var(absorb)
         if keep == absorb:
             raise ValueError("cannot merge a slot with itself")
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self._terms.items():
+        out: dict[Exponents, int] = {}
+        get = out.get
+        for exps, c in self._num.items():
             merged = list(exps)
             merged[keep] += merged[absorb]
             del merged[absorb]
-            _accumulate(out, tuple(merged), c)
-        return EvenLaurentPoly._trusted(self.arity - 1, out)
+            key = tuple(merged)
+            out[key] = get(key, 0) + c
+        return _canonical(self.arity - 1, out, self._den)
 
     def leading_part(self) -> "EvenLaurentPoly":
         """Terms of maximal total degree (in t: ``2*sum(a)``)."""
-        if not self._terms:
+        if not self._num:
             return self
-        top = max(sum(e) for e in self._terms)
-        return EvenLaurentPoly._trusted(
-            self.arity, {e: c for e, c in self._terms.items() if sum(e) == top}
+        top = max(map(sum, self._num))
+        return _canonical(
+            self.arity, {e: c for e, c in self._num.items() if sum(e) == top}, self._den
         )
 
     def max_total_degree(self) -> int | None:
         """Maximal ``sum(a)`` over terms, or None for the zero polynomial."""
-        return max((sum(e) for e in self._terms), default=None)
+        return max(map(sum, self._num), default=None)
 
     def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self._terms}) <= 1
+        return len(set(map(sum, self._num))) <= 1
 
     def evaluate(self, point: Sequence[object]) -> Fraction:
         """Evaluate at a rational point; nonzero coordinates required
         wherever a negative exponent occurs."""
         if len(point) != self.arity:
             raise ValueError("point length does not match arity")
-        us = [_as_fraction(x) ** 2 for x in point]
-        total = Fraction(0)
-        for exps, c in self._terms.items():
-            v = c
-            for u, e in zip(us, exps):
-                if e == 0:
-                    continue
-                if u == 0 and e < 0:
-                    raise ZeroDivisionError("negative exponent at a zero coordinate")
-                v *= u**e
-            total += v
-        return total
+        value = _substitute_values(self, dict(enumerate(point)))
+        return Fraction(value._num.get((), 0), value._den)
 
     def partial_evaluate(self, assignments: Mapping[int, object]) -> "EvenLaurentPoly":
         """Substitute rational values for a subset of slots.
@@ -308,20 +376,7 @@ class EvenLaurentPoly:
         """
         for var in assignments:
             self._check_var(var)
-        values = {var: _as_fraction(x) ** 2 for var, x in assignments.items()}
-        keep = [i for i in range(self.arity) if i not in values]
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self._terms.items():
-            v = c
-            for var, u in values.items():
-                e = exps[var]
-                if e == 0:
-                    continue
-                if u == 0 and e < 0:
-                    raise ZeroDivisionError("negative exponent at a zero coordinate")
-                v *= u**e
-            _accumulate(out, tuple(exps[i] for i in keep), v)
-        return EvenLaurentPoly._trusted(len(keep), out)
+        return _substitute_values(self, assignments)
 
     def _check_var(self, var: int) -> None:
         if not 0 <= var < self.arity:
@@ -332,7 +387,7 @@ class EvenLaurentPoly:
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms sorted lexicographically by exponent vector (the canonical
         order used by every serializer)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0])
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -353,7 +408,7 @@ class EvenLaurentPoly:
 
     def to_latex(self, var: str = "t") -> str:
         """Render grouped by total degree, highest first."""
-        if not self._terms:
+        if not self._num:
             return "0"
         groups: dict[int, list[str]] = {}
         for exps, c in self.sorted_terms():
@@ -372,6 +427,14 @@ class EvenLaurentPoly:
         return text[2:] if text.startswith("+ ") else text
 
 
+def _fill(poly: EvenLaurentPoly, arity: int, num: dict[Exponents, int], den: int) -> None:
+    setattr_ = object.__setattr__
+    setattr_(poly, "arity", arity)
+    setattr_(poly, "_num", num)
+    setattr_(poly, "_den", den)
+    setattr_(poly, "_view", None)
+
+
 def divided_difference(f: EvenLaurentPoly, slot_a: int, slot_b: int) -> EvenLaurentPoly:
     """Exact divided difference ``(f - f|_{u_a -> u_b}) / (u_a - u_b)``.
 
@@ -385,15 +448,15 @@ def divided_difference(f: EvenLaurentPoly, slot_a: int, slot_b: int) -> EvenLaur
     f._check_var(slot_b)
     if slot_a == slot_b:
         raise ValueError("divided difference needs two distinct slots")
-    if any(e[slot_b] for e in f._terms):
+    if any(e[slot_b] for e in f._num):
         raise ValueError(f"slot {slot_b} must be free in the input")
 
     # (u_a^k - u_b^k)/(u_a - u_b) = +sum_{0 <= i < k} u_a^i u_b^{k-1-i}   (k > 0)
     #                             = -sum_{k <= i < 0} u_a^i u_b^{k-1-i}   (k < 0)
     # The exponent sum i + (k-1-i) = k-1 recovers k, so no two output
     # terms meet.
-    out: dict[Exponents, Fraction] = {}
-    for exps, c in f._terms.items():
+    out: dict[Exponents, int] = {}
+    for exps, c in f._num.items():
         k = exps[slot_a]
         if k > 0:
             powers = range(k)
@@ -405,7 +468,7 @@ def divided_difference(f: EvenLaurentPoly, slot_a: int, slot_b: int) -> EvenLaur
         for i in powers:
             key[slot_a], key[slot_b] = i, k - 1 - i
             out[tuple(key)] = c
-    result = EvenLaurentPoly._trusted(f.arity, out)
+    result = _canonical(f.arity, out, f._den)
     _check_quotient(f, result, slot_a, slot_b)
     return result
 
@@ -413,29 +476,34 @@ def divided_difference(f: EvenLaurentPoly, slot_a: int, slot_b: int) -> EvenLaur
 def _check_quotient(f: EvenLaurentPoly, q: EvenLaurentPoly, slot_a: int, slot_b: int) -> None:
     """Raise ``ArithmeticError`` unless ``(u_a - u_b) q == f - f|_{a<->b}``.
 
-    The residual ``(u_a - u_b) q - (f - f|_{a<->b})`` is accumulated in a
-    single dict, which must come out empty.
+    The residual ``(u_a - u_b) q - (f - f|_{a<->b})`` is accumulated as
+    integer numerators over the common denominator of ``f`` and ``q`` in
+    a single dict, which must come out all zero.
     """
-    residual: dict[Exponents, Fraction] = {}
-    for exps, c in q._terms.items():
+    den = lcm(f._den, q._den)
+    scale_f, scale_q = den // f._den, den // q._den
+    residual: dict[Exponents, int] = {}
+    get = residual.get
+    for exps, c in q._num.items():
+        c *= scale_q
         key = list(exps)
         key[slot_a] += 1
-        _accumulate(residual, tuple(key), c)
+        up = tuple(key)
+        residual[up] = get(up, 0) + c
         key[slot_a] -= 1
         key[slot_b] += 1
-        _accumulate(residual, tuple(key), -c)
-    for exps, c in f._terms.items():
+        across = tuple(key)
+        residual[across] = get(across, 0) - c
+    for exps, c in f._num.items():
         if exps[slot_a] != exps[slot_b]:  # a term the swap fixes cancels in f - f|swap
-            _accumulate(residual, exps, -c)
-            _accumulate(residual, _swap_key(exps, slot_a, slot_b), c)
-    if residual:
+            c *= scale_f
+            residual[exps] = get(exps, 0) - c
+            swapped = list(exps)
+            swapped[slot_a], swapped[slot_b] = exps[slot_b], exps[slot_a]
+            swapped = tuple(swapped)
+            residual[swapped] = get(swapped, 0) + c
+    if any(residual.values()):
         raise ArithmeticError("divided difference left a nonzero remainder")
-
-
-def _swap_key(exps: Exponents, a: int, b: int) -> Exponents:
-    key = list(exps)
-    key[a], key[b] = key[b], key[a]
-    return tuple(key)
 
 
 class TruncatedSeries:
@@ -443,10 +511,11 @@ class TruncatedSeries:
 
     Exponent vectors are componentwise nonnegative; coefficients are exact
     rationals.  ``laurent_to_series`` builds these; the constructor checks
-    outside input the same way ``EvenLaurentPoly``'s does.
+    outside input the same way ``EvenLaurentPoly``'s does, and ``terms`` is
+    a read-only view, as there.
     """
 
-    __slots__ = ("arity", "order", "terms")
+    __slots__ = ("arity", "order", "_terms")
 
     def __init__(self, arity: int, order: int, terms: Mapping[Sequence[int], object] | None = None):
         if arity < 0 or order < 0:
@@ -463,25 +532,30 @@ class TruncatedSeries:
             _accumulate(clean, key, _as_fraction(coeff))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Read-only view of the exponent-vector -> coefficient mapping."""
+        return MappingProxyType(self._terms)
+
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        return self._terms.get(tuple(exponents), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedSeries)
             and (self.arity, self.order) == (other.arity, other.order)
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries(arity={self.arity}, order={self.order}, {len(self.terms)} terms)"
+        return f"TruncatedSeries(arity={self.arity}, order={self.order}, {len(self._terms)} terms)"
 
 
 def edge_coefficient(a: int, m: int) -> int:
@@ -517,15 +591,12 @@ def laurent_to_series(p: EvenLaurentPoly, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    # numerators over one common denominator, so each vector sums integers
-    den = lcm(*(c.denominator for c in p._terms.values()))
+    # the numerators share one denominator, so each vector sums integers
+    den = p._den
     # per exponent a, the row m -> e(a, m) for m <= order
-    exponents = {a for exps in p._terms for a in exps}
+    exponents = {a for exps in p._num for a in exps}
     rows = {a: [edge_coefficient(a, m) for m in range(order + 1)] for a in exponents}
-    weighted = [
-        (c.numerator * (den // c.denominator), [rows[a] for a in exps])
-        for exps, c in p._terms.items()
-    ]
+    weighted = [(c, [rows[a] for a in exps]) for exps, c in p._num.items()]
     out: dict[Exponents, Fraction] = {}
     for m in perimeter_vectors(p.arity, order):
         total = sum(prod(map(getitem, cols, m), start=num) for num, cols in weighted)

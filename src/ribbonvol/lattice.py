@@ -331,15 +331,20 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
 
     When ``cache_dir`` (or the RIBBONVOL_CACHE_DIR environment variable)
     is set, the table is read from / written to a JSON file addressed by
-    (g, n, max_sum); files written by a different package version are
-    ignored and recomputed.  A ``max_sum`` below ``n`` admits no vector
-    and is rejected rather than answered with an empty table.
+    (g, n, max_sum); files written by a different package version, or
+    whose entries are not exactly the table's vectors with exact values,
+    are ignored and recomputed.  A ``cache_dir`` that exists but is not a
+    directory raises ``NotADirectoryError`` before anything is computed.
+    A ``max_sum`` below ``n`` admits no vector and is rejected rather than
+    answered with an empty table.
     """
     if max_sum < n:
         raise ValueError(f"max_sum must be at least n = {n}: every perimeter is positive")
     cache_dir = cache_dir or os.environ.get("RIBBONVOL_CACHE_DIR")
     path = None
     if cache_dir:
+        if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+            raise NotADirectoryError(f"cache directory {cache_dir!r} is not a directory")
         path = os.path.join(cache_dir, f"census-g{g}-n{n}-P{max_sum}.json")
         table = _load_cache(path, g, n, max_sum)
         if table is not None:
@@ -367,13 +372,31 @@ def _write_cache(path: str, table: CountTable) -> None:
 
 
 def _load_cache(path, g, n, max_sum):
+    """The table in ``path``, or None when the file is missing, foreign or
+    malformed.  Its entries must list exactly the nondecreasing vectors
+    with sum <= ``max_sum``, in order, each with a ``"p/q"`` string value."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError):
         return None
+    if not isinstance(doc, dict):
+        return None
     if doc.get("format") != "ribbonvol-census" or doc.get("version") != __version__:
         return None
     if (doc.get("g"), doc.get("n"), doc.get("max_sum")) != (g, n, max_sum):
         return None
-    return CountTable.from_json_dict(doc)
+    rows = doc.get("entries")
+    expected = list(perimeter_vectors(n, max_sum, ascending=True))
+    if not isinstance(rows, list) or len(rows) != len(expected):
+        return None
+    entries = {}
+    for row, p in zip(rows, expected):
+        if not (isinstance(row, list) and len(row) == 2 and row[0] == list(p)
+                and isinstance(row[1], str)):
+            return None
+        try:
+            entries[p] = Fraction(row[1])
+        except (ValueError, ZeroDivisionError):
+            return None
+    return CountTable(g, n, max_sum, entries)

@@ -29,7 +29,8 @@ def perimeter_vectors(n: int, max_sum: int, ascending: bool = False) -> Iterator
 
     def extend(k: int, budget: int, floor: int) -> Iterator[tuple]:
         if k == 0:
-            yield ()
+            if budget >= 0:
+                yield ()
             return
         # the k entries left are each at least ``first`` when ascending
         top = budget // k if ascending else budget - (k - 1)

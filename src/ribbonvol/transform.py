@@ -22,8 +22,17 @@ kappa(u):
 where D_j is the divided difference of x |-> kappa(x^2) F_{g,n-1}(x, rest)
 between the slots t_1 and t_j, the derivative of an even h is realized as
 d/dt_j [t_j h] = h + 2 u_j dh/du_j, and the genus term is dropped at
-g = 0.  The splitting sum runs over ``enumerate_splittings`` exactly as
-enumerated (each ordered assignment once, no extra weight).
+g = 0.  The splitting sum runs over ``enumerate_splittings`` (each
+ordered assignment once, no extra weight).
+
+Each distinct term is computed once, by the S_n symmetry of F:
+
+* F_{g,n-1} is symmetric, so the j-term for slot j is the image of the
+  one for slot 2 under the transposition t_2 <-> t_j.  One divided
+  difference is taken, and its n - 2 images are slot substitutions.
+* An ordered splitting and its swap embed to the same product, so each
+  unordered pair is multiplied once and doubled; the self-swapped
+  splitting (n = 1, equal genera) is multiplied once and not doubled.
 
 Everything is computed bottom-up in the complexity 2g - 2 + n and
 memoized per configuration; results are canonical (symmetric, exact) and
@@ -125,21 +134,37 @@ def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
     result = EvenLaurentPoly.zero(n)
 
     if n >= 2:
+        # the j-term for slot b is the image of the one for slot 1 under the
+        # transposition 1 <-> b, because F_{g,n-1} is symmetric
         prev = compute(config, g, n - 1)
-        j_parts = []
-        for b in range(1, n):
-            mapping = dict(enumerate([0] + [s for s in range(1, n) if s != b]))
-            f = prev.substitute_slots(mapping, n) * kappa0
-            h = divided_difference(f, 0, b)
-            # d/dt_b [t_b h] for even h: h + 2 u_b dh/du_b
-            j_parts += [h, 2 * h.d_square(b).shift(b, 1)]
+        f = prev.substitute_slots({0: 0, **{s: s + 1 for s in range(1, n - 1)}}, n) * kappa0
+        h = divided_difference(f, 0, 1)
+        # d/dt_1 [t_1 h] for even h: h + 2 u_1 dh/du_1
+        first = h + 2 * h.d_square(1).shift(1, 1)
+        j_parts = [first]
+        for b in range(2, n):
+            swap = dict(enumerate(range(n)))
+            swap[1], swap[b] = b, 1
+            j_parts.append(first.substitute_slots(swap, n))
         result = result + config.a_factor * EvenLaurentPoly.sum(n, j_parts)
 
     def bracket_parts():
         if g >= 1:
             yield compute(config, g - 1, n + 1).diagonal_merge(0, 1)
+        # sp and sp.swapped() embed to the same product: it is computed for
+        # one order and doubled; the self-swapped splitting counts once
+        doubled = []
         for sp in enumerate_splittings(g, range(1, n)):
-            yield _embed_part(config, sp.g1, sp.part1, n) * _embed_part(config, sp.g2, sp.part2, n)
+            one, other = (sp.g1, sp.part1), (sp.g2, sp.part2)
+            if one > other:
+                continue
+            product = _embed_part(config, *one, n) * _embed_part(config, *other, n)
+            if one == other:
+                yield product
+            else:
+                doubled.append(product)
+        if doubled:
+            yield 2 * EvenLaurentPoly.sum(n, doubled)
 
     bracket = EvenLaurentPoly.sum(n, bracket_parts())
     if bracket:

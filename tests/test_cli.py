@@ -52,6 +52,26 @@ def test_count_census_json_and_cache(capsys, tmp_path):
     assert (code2, out2) == (code, out)
 
 
+def test_count_census_ignores_a_malformed_cache(capsys, tmp_path):
+    argv = ["count", "--gn", "1,1", "--max-sum", "4", "--cache-dir", str(tmp_path)]
+    code, expected = run(capsys, *argv)
+    assert (code, expected) == (0, "1\t0/1\n2\t0/1\n3\t0/1\n4\t1/4\n")
+    target = tmp_path / "census-g1-n1-P4.json"
+    good = json.loads(target.read_text())
+    for entries in ([[[2], "1/2"]], [[p, "oops"] for p, _ in good["entries"]]):
+        target.write_text(json.dumps({**good, "entries": entries}))
+        assert run(capsys, *argv) == (0, expected)
+
+
+def test_count_census_cache_dir_that_is_a_file(capsys, tmp_path):
+    path = tmp_path / "a-file"
+    path.write_text("")
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--gn", "1,1", "--max-sum", "4", "--cache-dir", str(path)])
+    assert err.value.code == 2
+    assert "is not a directory" in capsys.readouterr().err
+
+
 def test_count_census_text_deterministic(capsys):
     _, first = run(capsys, "count", "--gn", "0,4", "--max-sum", "7")
     _, second = run(capsys, "count", "--gn", "0,4", "--max-sum", "7")

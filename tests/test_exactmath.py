@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, prod
 
 import pytest
 
 from ribbonvol.exactmath import (
     EvenLaurentPoly,
+    TruncatedSeries,
     _check_quotient,
     divided_difference,
     edge_coefficient,
@@ -96,13 +97,120 @@ def test_results_are_canonical():
     ]
     for r in results:
         assert all(isinstance(c, Fraction) and c for c in r.terms.values()), r
-        assert all(len(e) == r.arity for e in r.terms), r
+        _assert_canonical(r)
         assert r == EvenLaurentPoly(r.arity, dict(r.terms))
     assert p - p == EvenLaurentPoly.zero(2) == 0 * p
     assert EvenLaurentPoly.sum(2, [p, q, -p]) == q
     assert at_zero == EvenLaurentPoly(2, {(0, 1): 2})
     with pytest.raises(ValueError):
         EvenLaurentPoly.sum(2, [p, EvenLaurentPoly.zero(3)])
+
+
+# the integer core against plain Fraction dicts ------------------------------
+
+
+def _assert_canonical(p):
+    # integer numerators over one positive denominator sharing no factor
+    assert isinstance(p._den, int) and p._den > 0, p
+    assert all(isinstance(c, int) and c for c in p._num.values()), p
+    assert all(len(e) == p.arity and all(isinstance(x, int) for x in e) for e in p._num), p
+    assert gcd(p._den, *p._num.values()) == 1, p
+
+
+def _ref_add(*dicts):
+    out = {}
+    for terms in dicts:
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(p, q):
+    return _ref_add(
+        *({tuple(map(sum, zip(e1, e2))): c1 * c2} for e1, c1 in p.items() for e2, c2 in q.items())
+    )
+
+
+def _ref_map(terms, key, value=lambda e, c: c):
+    return _ref_add(*({key(e): value(e, c)} for e, c in terms.items()))
+
+
+def _ref_divided_difference(terms, a, b):
+    out = []
+    for e, c in terms.items():
+        k = e[a]
+        for i in range(k) if k > 0 else range(k, 0):
+            key = list(e)
+            key[a], key[b] = i, k - 1 - i
+            out.append({tuple(key): c if k > 0 else -c})
+    return _ref_add(*out)
+
+
+def _random_terms(rng, arity, free=None):
+    # mixed denominators, so that sums and products meet, cancel and reduce
+    terms = {}
+    for _t in range(rng.randint(0, 6)):
+        key = [rng.randint(-3, 3) for _ in range(arity)]
+        if free is not None:
+            key[free] = 0
+        terms[tuple(key)] = F(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 9, 12, 16, 27, 35]))
+    return terms
+
+
+def test_integer_core_matches_fraction_dicts():
+    rng = random.Random(5150)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        x = _random_terms(rng, n)
+        y = _random_terms(rng, n)
+        z = _random_terms(rng, n)
+        p, q, r = (EvenLaurentPoly(n, t) for t in (x, y, z))
+        x, y, z = dict(p.terms), dict(q.terms), dict(r.terms)  # duplicates merged
+        scalar = F(rng.randint(-6, 6), rng.randint(1, 10))
+        var = rng.randrange(n)
+        shift = rng.randint(-2, 2)
+        perm = rng.sample(range(n + 1), n)
+        point = {var: F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))}
+        top = max(map(sum, x), default=None)
+        cases = [
+            (p + q, _ref_add(x, y)),
+            (p - q, _ref_add(x, {e: -c for e, c in y.items()})),
+            (p * q, _ref_mul(x, y)),
+            (p * scalar, {e: c * scalar for e, c in x.items() if c * scalar}),
+            (scalar * p, {e: c * scalar for e, c in x.items() if c * scalar}),
+            (EvenLaurentPoly.sum(n, [p, q, r, -q]), _ref_add(x, z)),
+            (p.d_square(var), _ref_map(
+                {e: c for e, c in x.items() if e[var]},
+                lambda e: e[:var] + (e[var] - 1,) + e[var + 1 :],
+                lambda e, c: c * e[var],
+            )),
+            (p.shift(var, shift), _ref_map(
+                x, lambda e: e[:var] + (e[var] + shift,) + e[var + 1 :]
+            )),
+            (p.substitute_slots(dict(enumerate(perm)), n + 1), _ref_map(
+                x, lambda e: tuple(e[perm.index(j)] if j in perm else 0 for j in range(n + 1))
+            )),
+            (p.partial_evaluate(point), _ref_map(
+                x,
+                lambda e: e[:var] + e[var + 1 :],
+                lambda e, c: c * point[var] ** (2 * e[var]),
+            )),
+            (p.leading_part(), {e: c for e, c in x.items() if sum(e) == top}),
+        ]
+        if n >= 2:
+            cases.append((p.diagonal_merge(a, b), _ref_map(
+                x, lambda e: tuple(e[i] + (e[b] if i == a else 0) for i in range(n) if i != b)
+            )))
+            f = EvenLaurentPoly(n, _random_terms(rng, n, free=b))
+            cases.append((divided_difference(f, a, b), _ref_divided_difference(dict(f.terms), a, b)))
+        for got, want in cases:
+            _assert_canonical(got)
+            assert dict(got.terms) == want, (got, want)
+            assert got == EvenLaurentPoly(got.arity, want)
+        assert p.evaluate([F(k + 2, 3) for k in range(n)]) == sum(
+            (c * prod(F(k + 2, 3) ** (2 * e[k]) for k in range(n)) for e, c in x.items()), F(0)
+        )
 
 
 def test_d_square_and_shift():
@@ -310,6 +418,15 @@ def test_series_of_every_small_type_matches_the_convolution():
     for g, n in stable_types(3):
         p = compute(LAPLACE, g, n)
         assert laurent_to_series(p, 12).terms == _reference_series_terms(p, 12), (g, n)
+
+
+def test_series_terms_are_a_read_only_view():
+    s = TruncatedSeries(1, 3, {(1,): 2})
+    with pytest.raises(TypeError):
+        s.terms[(9,)] = 5
+    assert s.coefficient((9,)) == 0
+    assert dict(s.terms) == {(1,): F(2)}
+    assert s == TruncatedSeries(1, 3, s.terms)
 
 
 def test_series_edge_cases():

@@ -242,6 +242,35 @@ def test_census_cache_ignores_foreign_files(tmp_path):
     assert table.entries[(6,)] == F(2, 3)
 
 
+def test_census_cache_with_wrong_keys_or_values_is_recomputed(tmp_path):
+    expected = census(1, 1, 4).entries
+    target = tmp_path / "census-g1-n1-P4.json"
+    census(1, 1, 4, cache_dir=str(tmp_path))
+    good = json.loads(target.read_text())
+    bad_docs = [
+        {**good, "entries": [[[2], "1/2"]]},  # keys other than the table's vectors
+        {**good, "entries": [[p, "oops"] for p, _ in good["entries"]]},  # not a Fraction
+        {**good, "entries": [[p, "1/0"] for p, _ in good["entries"]]},
+        {**good, "entries": [[p, 0.25] for p, _ in good["entries"]]},  # not exact text
+        {**good, "entries": good["entries"][::-1]},
+        {**good, "entries": good["entries"] + good["entries"][-1:]},
+        {**good, "entries": None},
+        [good],
+    ]
+    for doc in bad_docs:
+        target.write_text(json.dumps(doc))
+        assert census(1, 1, 4, cache_dir=str(tmp_path)).entries == expected, doc
+        # the recomputed table replaced the bad file
+        assert json.loads(target.read_text()) == good
+
+
+def test_census_cache_dir_that_is_a_file_is_rejected(tmp_path):
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    with pytest.raises(NotADirectoryError):
+        census(1, 1, 4, cache_dir=str(path))
+
+
 def _run_threads(target, workers):
     errors = []
 

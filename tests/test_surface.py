@@ -81,8 +81,9 @@ def test_validation():
 
 
 def test_perimeter_vectors_in_lexicographic_order():
-    for n in range(1, 5):
-        for max_sum in range(10):
+    # n = 0 has the one empty vector, whose sum 0 exceeds a negative bound
+    for n in range(5):
+        for max_sum in range(-3, 10):
             every = [p for p in product(range(1, max_sum + 1), repeat=n) if sum(p) <= max_sum]
             assert list(perimeter_vectors(n, max_sum)) == every
             ascending = [p for p in every if list(p) == sorted(p)]

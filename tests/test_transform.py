@@ -8,7 +8,7 @@ from ribbonvol import cache_info, clear_caches
 from ribbonvol.crosscheck import golden_laplace
 from ribbonvol.exactmath import EvenLaurentPoly
 from ribbonvol.lattice import count
-from ribbonvol.surface import stable_types
+from ribbonvol.surface import enumerate_splittings, stable_types
 from ribbonvol.transform import (
     CONFIGS,
     EUCLIDEAN,
@@ -83,6 +83,74 @@ def test_unstable_input_rejected():
     for config in (LAPLACE, SYMPLECTIC):
         with pytest.raises(ValueError, match=r"\(-1, 5\) is not stable"):
             compute(config, -1, 5)
+
+
+# the recursion on plain Fraction dicts, summed over every b and every
+# ordered splitting: the reference for the engine's orbit reuse
+
+
+def _acc(out, key, c):
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            _acc(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+    return out
+
+
+def _ref_embed(terms, slots, n):
+    # old slot i moves to slots[i]; the other new slots get exponent 0
+    out = {}
+    for e, c in terms.items():
+        key = [0] * n
+        for old, x in enumerate(e):
+            key[slots[old]] = x
+        out[tuple(key)] = c
+    return out
+
+
+def _ref_recurse(config, g, n, tables):
+    kappa0 = _ref_embed(dict(config.kappa.terms), [0], n)
+    out = {}
+    if n >= 2:
+        for b in range(1, n):
+            slots = [0] + [s for s in range(1, n) if s != b]
+            f = _ref_mul(_ref_embed(tables[(g, n - 1)], slots, n), kappa0)
+            for e, c in f.items():
+                k = e[0]
+                for i in range(k) if k > 0 else range(k, 0):
+                    key = list(e)
+                    key[0], key[b] = i, k - 1 - i
+                    # h + 2 u_b dh/du_b keeps each exponent and scales by 1 + 2 e_b
+                    _acc(out, tuple(key), config.a_factor * (c if k > 0 else -c) * (1 + 2 * key[b]))
+    bracket = {}
+    if g >= 1:
+        for e, c in tables[(g - 1, n + 1)].items():
+            _acc(bracket, (e[0] + e[1],) + e[2:], c)
+    for sp in enumerate_splittings(g, range(1, n)):
+        left = _ref_embed(tables[(sp.g1, len(sp.part1) + 1)], [0] + sorted(sp.part1), n)
+        right = _ref_embed(tables[(sp.g2, len(sp.part2) + 1)], [0] + sorted(sp.part2), n)
+        for e, c in _ref_mul(left, right).items():
+            _acc(bracket, e, c)
+    for e, c in _ref_mul(kappa0, bracket).items():
+        _acc(out, e, config.b_factor * c)
+    return out
+
+
+def test_engine_matches_the_full_recursion_on_fraction_dicts():
+    for config in (LAPLACE, EUCLIDEAN, SYMPLECTIC):
+        tables = {(0, 3): dict(config.base_03.terms), (1, 1): dict(config.base_11.terms)}
+        for g, n in STABLE_TO_LEVEL_5:
+            if (g, n) not in tables:
+                tables[(g, n)] = _ref_recurse(config, g, n, tables)
+            assert compute(config, g, n).terms == tables[(g, n)], (config.name, g, n)
 
 
 def test_symmetry_under_slot_permutations():
