@@ -4,13 +4,15 @@ Each configuration of the recursion has a spectral-curve presentation:
 F_{g,n}(t_1, a_2..a_n) equals minus the sum of residues of a kernel
 K(t, t_1) against lower-complexity data, with residues taken at +-t_1
 and at the spectator points +-a_j.  The computation below is exact --
-rational-function arithmetic end to end -- and must reproduce the
+the residues at +-t_1 are added in closed form, so everything is a
+polynomial in t_1^2 over one common denominator -- and must reproduce the
 recursion engine's polynomial identically.
 """
 
 from fractions import Fraction
 
-from ribbonvol import CURVES, check_kernel_identity, compute, residue_sum
+from ribbonvol import CURVES, compute, residue_sum
+from ribbonvol.eo import check_kernel_identity
 
 print("The kernel identity (y(t) - y(-t)) x'(t) kappa_hat(t) = -1:")
 for name, curve in sorted(CURVES.items()):

@@ -11,7 +11,6 @@ from . import lattice, transform
 from ._version import __version__
 from .crosscheck import (
     CLASSICAL_INTERSECTIONS,
-    forward_laplace,
     golden_laplace,
     intersection_ratio_report,
     perimeter_volume,
@@ -23,8 +22,6 @@ from .eo import (
     CURVE_LAPLACE,
     CURVE_SYMPLECTIC,
     CURVES,
-    SpectralCurveSpec,
-    check_kernel_identity,
     residue_sum,
     verify_eo,
 )
@@ -33,14 +30,13 @@ from .exactmath import (
     divided_difference,
     laurent_to_series,
 )
-from .lattice import CountTable, census, count, recursion_rhs
-from .surface import Splitting, enumerate_splittings, is_stable
+from .lattice import CountTable, census, count
+from .surface import enumerate_splittings, is_stable
 from .transform import (
     CONFIGS,
     EUCLIDEAN,
     LAPLACE,
     SYMPLECTIC,
-    RecursionConfig,
     compute,
     euclidean_matches_leading,
     intersection_numbers,
@@ -59,20 +55,15 @@ __all__ = [
     "EUCLIDEAN",
     "EvenLaurentPoly",
     "LAPLACE",
-    "RecursionConfig",
-    "SpectralCurveSpec",
-    "Splitting",
     "SYMPLECTIC",
     "cache_info",
     "census",
-    "check_kernel_identity",
     "clear_caches",
     "compute",
     "count",
     "divided_difference",
     "enumerate_splittings",
     "euclidean_matches_leading",
-    "forward_laplace",
     "golden_laplace",
     "intersection_numbers",
     "intersection_ratio_report",
@@ -80,7 +71,6 @@ __all__ = [
     "kontsevich_ratio",
     "laurent_to_series",
     "perimeter_volume",
-    "recursion_rhs",
     "residue_sum",
     "series_identity",
     "verify_continuous_recursion",

@@ -23,11 +23,13 @@ with a curve-dependent weight w, plus the diagonal F_{g-1,n+1}(t, t, ..)
 (which degenerates to -w/(4 t^2) for (g, n) = (1, 1)).  Each ordered
 product enters with sign -1, the pullback of ds along the involution.
 
-The whole computation is exact: residues are accumulated as rational
-functions of t1 with Fraction coefficients and the final quotient must
-divide out to an even Laurent polynomial, or an ArithmeticError is
-raised.  ``verify_eo`` compares that polynomial against the recursion
-engine's output at seeded random spectator values.
+The whole computation is exact and even in t1, so it is done in
+``EvenLaurentPoly`` of u = t1^2 alone.  The residues at t1 and -t1 are
+added in closed form, which cancels their odd parts, and every residue is
+brought over the common denominator D(u) = prod_j (a_j^2 - u)^2.  The
+summed numerator must divide by D to an even Laurent polynomial, or an
+ArithmeticError is raised.  ``verify_eo`` compares that polynomial
+against the recursion engine's output at seeded random spectator values.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from typing import Callable, Sequence
 from .exactmath import EvenLaurentPoly, _accumulate
 from .surface import is_stable
 from .transform import EUCLIDEAN, LAPLACE, SYMPLECTIC, RecursionConfig, compute
-
-Laurent = dict[int, Fraction]  # one-variable, exponents of t (or t1)
 
 
 @dataclass(frozen=True)
@@ -103,55 +103,20 @@ def check_kernel_identity(curve: SpectralCurveSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# one-variable Laurent helpers (plain dicts, exponent -> Fraction)
-
-
-def _ladd(a: Laurent, b: Laurent) -> Laurent:
-    out = dict(a)
-    for e, c in b.items():
-        _accumulate(out, e, c)
-    return out
-
-
-def _lmul(a: Laurent, b: Laurent) -> Laurent:
-    out: Laurent = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            _accumulate(out, ea + eb, ca * cb)
-    return out
-
-
-def _lscale(a: Laurent, c) -> Laurent:
-    return {e: v * c for e, v in a.items()} if c else {}
-
-
-def _leval(a: Laurent, x: Fraction) -> Fraction:
-    return sum((c * x**e for e, c in a.items()), Fraction(0))
-
-
-def _leval_deriv(a: Laurent, x: Fraction) -> Fraction:
-    return sum((e * c * x ** (e - 1) for e, c in a.items()), Fraction(0))
-
-
-def _from_even(p: EvenLaurentPoly) -> Laurent:
-    if p.arity != 1:
-        raise ValueError("expected a one-variable polynomial")
-    return {2 * e[0]: c for e, c in p.terms.items()}
-
-
-# ---------------------------------------------------------------------------
 # integrand assembly
 
 
 @dataclass
 class Term:
-    """One additive piece of omega: num(t) / ((t^2 - t1^2) * prod (t - root)^mult).
+    """One additive piece of omega: t * num(t^2) / ((t^2 - t1^2) * prod (t - root)^2).
 
-    ``num`` may carry negative powers of t (t = 0 is not on the contour).
+    ``num`` is a one-variable polynomial in u = t^2 and may carry negative
+    powers (t = 0 is not on the contour).  Every root comes from a pair
+    part, so every pole at a root is double.
     """
 
-    num: Laurent
-    poles: tuple[tuple[Fraction, int], ...]
+    num: EvenLaurentPoly
+    poles: tuple[Fraction, ...]
 
 
 def _extended_splittings(g: int, m: int):
@@ -170,10 +135,9 @@ def _extended_splittings(g: int, m: int):
 
 
 def _stable_part(config: RecursionConfig, gp: int, labels: tuple[int, ...],
-                 values: Sequence[Fraction]) -> Laurent:
+                 values: Sequence[Fraction]) -> EvenLaurentPoly:
     poly = compute(config, gp, len(labels) + 1)
-    poly = poly.partial_evaluate({i + 1: values[j] for i, j in enumerate(labels)})
-    return _from_even(poly)
+    return poly.partial_evaluate({i + 1: values[j] for i, j in enumerate(labels)})
 
 
 def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
@@ -188,114 +152,105 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
         raise ValueError("spectator values must be nonzero with distinct magnitudes")
     w = curve.pair_weight
 
-    bracket: list[tuple[Laurent, tuple[tuple[Fraction, int], ...]]] = []
+    bracket: list[tuple[EvenLaurentPoly, tuple[Fraction, ...]]] = []
     if g >= 1:
         if is_stable(g - 1, n + 1):
             q = compute(curve.config, g - 1, n + 1)
             q = q.partial_evaluate({i + 2: a[i] for i in range(n - 1)})
-            bracket.append((_lscale(_from_even(q.diagonal_merge(0, 1)), -1), ()))
+            bracket.append((-q.diagonal_merge(0, 1), ()))
         else:  # (g-1, n+1) == (0, 2): the pair kernel at the diagonal
-            bracket.append(({-2: -w / 4}, ()))
+            bracket.append((EvenLaurentPoly.monomial(1, (-1,), -w / 4), ()))
     for g1, part1, g2, part2 in _extended_splittings(g, n - 1):
-        num: Laurent = {0: Fraction(-1)}
-        poles: list[tuple[Fraction, int]] = []
+        num = EvenLaurentPoly.constant(1, -1)
+        poles: list[Fraction] = []
         for gp, labels, sign in ((g1, part1, 1), (g2, part2, -1)):
             if gp == 0 and len(labels) == 1:
-                num = _lscale(num, w)
-                poles.append((-sign * a[labels[0]], 2))
+                num = num * w
+                poles.append(-sign * a[labels[0]])
             else:
-                num = _lmul(num, _stable_part(curve.config, gp, labels, a))
+                num = num * _stable_part(curve.config, gp, labels, a)
         bracket.append((num, tuple(sorted(poles))))
 
-    k_num = {e + 1: -c for e, c in _from_even(curve.kappa_hat).items()}
-    return [Term(num=_lmul(num, k_num), poles=poles) for num, poles in bracket]
+    # the kernel's numerator -t kappa_hat(t), less the factor t every piece keeps
+    return [Term(num=num * -curve.kappa_hat, poles=poles) for num, poles in bracket]
 
 
 # ---------------------------------------------------------------------------
 # residue extraction
 
 
-def _rat_add(a: tuple[Laurent, Laurent], b: tuple[Laurent, Laurent]):
-    (n1, d1), (n2, d2) = a, b
-    return _ladd(_lmul(n1, d2), _lmul(n2, d1)), _lmul(d1, d2)
-
-
-def _kernel_residue(term: Term, sign: int) -> tuple[Laurent, Laurent]:
-    # simple pole at t = sign * t1
-    num = {e: c if e % 2 == 0 else c * sign for e, c in term.num.items()}
-    den: Laurent = {1: Fraction(2 * sign)}
-    for root, mult in term.poles:
-        factor = {1: Fraction(sign), 0: -root}
-        for _ in range(mult):
-            den = _lmul(den, factor)
-    return num, den
-
-
-def _numeric_residue(term: Term, index: int) -> tuple[Laurent, Laurent]:
-    root, mult = term.poles[index]
-    others = term.poles[:index] + term.poles[index + 1 :]
-    q = Fraction(1)
-    slope = Fraction(0)  # Q'(root)/Q(root)
-    for r2, m2 in others:
-        q *= (root - r2) ** m2
-        slope += Fraction(m2, 1) / (root - r2)
-    # R(t) = (t^2 - t1^2) * prod_(others) (t - r2)^m2, as a poly in t1 at t = root
-    r_at = {0: root * root * q, 2: -q}
-    if mult == 1:
-        return {0: _leval(term.num, root)}, r_at
-    if mult == 2:
-        qp = q * slope
-        r_prime_at = {0: 2 * root * q + root * root * qp, 2: -qp}
-        nr = _leval(term.num, root)
-        npr = _leval_deriv(term.num, root)
-        num = _ladd(_lscale(r_at, npr), _lscale(r_prime_at, -nr))
-        return num, _lmul(r_at, r_at)
-    raise ArithmeticError(f"pole of order {mult} is not supported")
-
-
-def _laurent_divide(num: Laurent, den: Laurent) -> Laurent:
-    """Exact division of one-variable Laurent polynomials; raises if the
-    quotient is not itself a Laurent polynomial."""
+def _laurent_divide(num: EvenLaurentPoly, den: EvenLaurentPoly) -> EvenLaurentPoly:
+    """Exact division of one-variable even Laurent polynomials; raises if
+    the quotient is not itself a Laurent polynomial."""
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
-        return {}
-    nmin, dmin = min(num), min(den)
-    rem = {e - nmin: c for e, c in num.items()}
-    div = {e - dmin: c for e, c in den.items()}
+        return EvenLaurentPoly.zero(1)
+    (nmin,), (dmin,) = min(num.terms), min(den.terms)
+    rem = {e - nmin: c for (e,), c in num.terms.items()}
+    div = {e - dmin: c for (e,), c in den.terms.items()}
     dtop = max(div)
     lead = div[dtop]
-    quotient: Laurent = {}
+    quotient = {}
     while rem:
         rtop = max(rem)
         if rtop < dtop:
             raise ArithmeticError("residue sum did not reduce to a Laurent polynomial")
         c = rem[rtop] / lead
-        quotient[rtop - dtop] = c
+        quotient[(rtop - dtop + nmin - dmin,)] = c
         for e, v in div.items():
             _accumulate(rem, e + rtop - dtop, -c * v)
-    shift = nmin - dmin
-    return {e + shift: c for e, c in quotient.items()}
+    return EvenLaurentPoly(1, quotient)
 
 
 def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
                 spectators: Sequence[Fraction]) -> EvenLaurentPoly:
     """Minus the residues of omega(t) over t = +-t1 and t = +-a_j, as an
-    even Laurent polynomial in the live variable."""
-    terms = integrand_terms(curve, g, n, spectators)
-    total: tuple[Laurent, Laurent] = ({}, {0: Fraction(1)})
-    for term in terms:
+    even Laurent polynomial in the live variable.
+
+    Everything is a polynomial in u = t1^2.  Each residue's denominator
+    divides D(u) = prod_j (a_j^2 - u)^2, so each is brought over D by the
+    factors it lacks, and the numerators are summed and divided by D once.
+    """
+    u = EvenLaurentPoly.monomial(1, (1,))
+    # root^2 -> (root^2 - u)^2, one factor of D per spectator
+    factors = {}
+    for a in map(Fraction, spectators):
+        factors[a * a] = (u - EvenLaurentPoly.constant(1, a * a)) ** 2
+
+    def over_d(num: EvenLaurentPoly, present) -> EvenLaurentPoly:
+        for square, factor in factors.items():
+            if square not in present:
+                num = num * factor
+        return num
+
+    parts = []
+    for term in integrand_terms(curve, g, n, spectators):
         if not term.num:
             continue
-        for sign in (1, -1):
-            total = _rat_add(total, _kernel_residue(term, sign))
-        for index in range(len(term.poles)):
-            total = _rat_add(total, _numeric_residue(term, index))
-    num, den = total
-    flat = _laurent_divide(_lscale(num, -1), den)
-    if any(e % 2 for e in flat):
-        raise ArithmeticError("residue sum has an odd-degree part")
-    return EvenLaurentPoly(1, {(e // 2,): c for e, c in flat.items()})
+        # the simple poles at +-t1, paired: B(u) E(u) / prod_r (r^2 - u)^2 with
+        # E(t1^2) the even part of prod_r (t1 + r)^2, grown as (E + t1 O)(t1 + r)
+        even, odd = EvenLaurentPoly.constant(1, 1), EvenLaurentPoly.zero(1)
+        for r in term.poles:
+            for _ in range(2):
+                even, odd = r * even + u * odd, even + r * odd
+        parts.append(over_d(term.num * even, {r * r for r in term.poles}))
+        # the double pole at t = r of N(t) / ((t^2 - u) Q(t)), with N(t) = t B(t^2)
+        # and Q(t) = prod_(other roots s) (t - s)^2, has residue
+        # ((N'(r) - N(r) Q'(r)/Q(r)) (r^2 - u) - 2 r N(r)) / (Q(r) (r^2 - u)^2)
+        derivative = term.num.t_derivative(0)  # N'(t) = [(1 + 2u d/du) B](t^2)
+        for r in term.poles:
+            q, slope = Fraction(1), Fraction(0)
+            for s in term.poles:
+                if s != r:
+                    q *= (r - s) ** 2
+                    slope += 2 / (r - s)
+            n_r = r * term.num.evaluate((r,))
+            outer = (derivative.evaluate((r,)) - n_r * slope) / q
+            num = EvenLaurentPoly(1, {(0,): outer * r * r - 2 * r * n_r / q, (1,): -outer})
+            parts.append(over_d(num, {r * r}))
+    d = over_d(EvenLaurentPoly.constant(1, 1), ())
+    return _laurent_divide(-EvenLaurentPoly.sum(1, parts), d)
 
 
 def sample_spectators(curve_name: str, g: int, n: int, trials: int,

@@ -137,7 +137,7 @@ class EvenLaurentPoly:
             key = tuple(exps)
             if len(key) != arity:
                 raise ValueError(f"exponent vector {key} does not match arity {arity}")
-            if not all(isinstance(e, int) for e in key):
+            if not all(isinstance(e, int) and not isinstance(e, bool) for e in key):
                 raise ValueError(f"exponents must be integers: {key}")
             _accumulate(clean, key, _as_fraction(coeff))
         # reduced fractions over the lcm of their denominators: the numerators
@@ -267,27 +267,13 @@ class EvenLaurentPoly:
 
     # -- calculus and structure -----------------------------------------
 
-    def d_square(self, var: int) -> "EvenLaurentPoly":
-        """Partial derivative with respect to ``u_var = t_var**2`` (0-based)."""
+    def t_derivative(self, var: int) -> "EvenLaurentPoly":
+        """The even polynomial ``d/dt_var [t_var * self]``: each term
+        ``c * u^a`` becomes ``(2 a_var + 1) * c * u^a``."""
         self._check_var(var)
-        # lowering one exponent is injective, so no two terms meet
+        # no factor 2a + 1 is zero and the exponents stay, so no term drops
         return _canonical(
-            self.arity,
-            {
-                e[:var] + (e[var] - 1,) + e[var + 1 :]: c * e[var]
-                for e, c in self._num.items()
-                if e[var]
-            },
-            self._den,
-        )
-
-    def shift(self, var: int, k: int) -> "EvenLaurentPoly":
-        """Multiply by ``u_var**k``."""
-        self._check_var(var)
-        return EvenLaurentPoly._trusted(
-            self.arity,
-            {e[:var] + (e[var] + k,) + e[var + 1 :]: c for e, c in self._num.items()},
-            self._den,
+            self.arity, {e: (2 * e[var] + 1) * c for e, c in self._num.items()}, self._den
         )
 
     def substitute_slots(self, mapping: Mapping[int, int], new_arity: int) -> "EvenLaurentPoly":

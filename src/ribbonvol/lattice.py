@@ -247,6 +247,8 @@ def recursion_rhs(g: int, n: int, p: Sequence[int], pivot: int) -> Fraction:
     if (g, n) in ((0, 3), (1, 1)):
         raise ValueError("base cases are not produced by the recursion")
     p = _perimeters(g, n, p)
+    if not 0 <= pivot < n:
+        raise ValueError(f"pivot must be an index in range({n}), got {pivot}")
     if sum(p) % 2:
         return _ZERO
     rest = tuple(sorted(p[:pivot] + p[pivot + 1 :], reverse=True))
@@ -319,11 +321,6 @@ class CountTable:
                 [list(p), f"{v.numerator}/{v.denominator}"] for p, v in self.rows()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "CountTable":
-        entries = {tuple(p): Fraction(v) for p, v in doc["entries"]}
-        return cls(doc["g"], doc["n"], doc["max_sum"], entries)
 
 
 def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountTable:

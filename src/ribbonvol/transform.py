@@ -21,9 +21,9 @@ kappa(u):
 
 where D_j is the divided difference of x |-> kappa(x^2) F_{g,n-1}(x, rest)
 between the slots t_1 and t_j, the derivative of an even h is realized as
-d/dt_j [t_j h] = h + 2 u_j dh/du_j, and the genus term is dropped at
-g = 0.  The splitting sum runs over ``enumerate_splittings`` (each
-ordered assignment once, no extra weight).
+d/dt_j [t_j h] = h + 2 u_j dh/du_j (``t_derivative``), and the genus
+term is dropped at g = 0.  The splitting sum runs over
+``enumerate_splittings`` (each ordered assignment once, no extra weight).
 
 Each distinct term is computed once, by the S_n symmetry of F:
 
@@ -139,8 +139,7 @@ def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
         prev = compute(config, g, n - 1)
         f = prev.substitute_slots({0: 0, **{s: s + 1 for s in range(1, n - 1)}}, n) * kappa0
         h = divided_difference(f, 0, 1)
-        # d/dt_1 [t_1 h] for even h: h + 2 u_1 dh/du_1
-        first = h + 2 * h.d_square(1).shift(1, 1)
+        first = h.t_derivative(1)
         j_parts = [first]
         for b in range(2, n):
             swap = dict(enumerate(range(n)))

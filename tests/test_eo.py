@@ -7,7 +7,7 @@ from ribbonvol.eo import (
     CURVE_LAPLACE,
     CURVE_SYMPLECTIC,
     CURVES,
-    Term,
+    _extended_splittings,
     _laurent_divide,
     check_kernel_identity,
     integrand_terms,
@@ -16,6 +16,8 @@ from ribbonvol.eo import (
     sample_spectators,
     verify_eo,
 )
+from ribbonvol.exactmath import EvenLaurentPoly
+from ribbonvol.surface import is_stable, stable_types
 from ribbonvol.transform import compute
 
 F = Fraction
@@ -52,31 +54,18 @@ def test_pair_weights():
 
 
 def test_integrand_is_odd():
-    # omega(-t) = -omega(t): flipping every term must reproduce the
-    # negated multiset
+    # omega(-t) = -omega(t): t -> -t maps the piece (B, roots) to
+    # (-B, -roots), and the flipped multiset must be the negated one
+    def canon(pieces):
+        return sorted((tuple(sorted(num.terms.items())), tuple(sorted(poles)))
+                      for num, poles in pieces)
+
     for curve in (CURVE_LAPLACE, CURVE_SYMPLECTIC):
-        for (g, n), spect in [((0, 3), (3, -5)), ((1, 2), (7,)), ((2, 1), ())]:
+        for (g, n), spect in [((0, 3), (3, -5)), ((1, 2), (7,)), ((2, 1), ()), ((1, 3), (3, -5))]:
             terms = integrand_terms(curve, g, n, tuple(F(v) for v in spect))
-
-            def canon(term_list):
-                out = []
-                for t in term_list:
-                    num = tuple(sorted(t.num.items()))
-                    out.append((num, tuple(sorted(t.poles))))
-                return sorted(out)
-
-            flipped = []
-            for t in terms:
-                parity = sum(m for _, m in t.poles)
-                num = {
-                    e: c if (e + parity) % 2 == 0 else -c for e, c in t.num.items()
-                }
-                poles = tuple((-r, m) for r, m in t.poles)
-                flipped.append(Term(num=num, poles=poles))
-            negated = [
-                Term(num={e: -c for e, c in t.num.items()}, poles=t.poles)
-                for t in terms
-            ]
+            assert all(t.num.arity == 1 for t in terms)
+            flipped = [(-t.num, tuple(-r for r in t.poles)) for t in terms]
+            negated = [(-t.num, t.poles) for t in terms]
             assert canon(flipped) == canon(negated), (curve.name, g, n)
 
 
@@ -109,15 +98,145 @@ def test_spectator_validation():
 
 
 def test_exact_division():
+    def poly(terms):
+        return EvenLaurentPoly(1, {(e,): c for e, c in terms.items()})
+
     # (u^2 - 1) / (u - 1) = u + 1
-    assert _laurent_divide({2: F(1), 0: F(-1)}, {1: F(1), 0: F(-1)}) == {
-        1: F(1),
-        0: F(1),
-    }
+    assert _laurent_divide(poly({2: 1, 0: -1}), poly({1: 1, 0: -1})) == poly({1: 1, 0: 1})
     # with a Laurent shift
-    assert _laurent_divide({1: F(1), -1: F(-1)}, {1: F(2)}) == {0: F(1, 2), -2: F(-1, 2)}
-    assert _laurent_divide({}, {1: F(1)}) == {}
+    assert _laurent_divide(poly({1: 1, -1: -1}), poly({1: 2})) == poly({0: F(1, 2), -2: F(-1, 2)})
+    assert _laurent_divide(poly({}), poly({1: 1})) == poly({})
+    # the guard: a remainder means the residue sum is not a Laurent polynomial
     with pytest.raises(ArithmeticError):
-        _laurent_divide({2: F(1), 0: F(1)}, {1: F(1), 0: F(-1)})
+        _laurent_divide(poly({2: 1, 0: 1}), poly({1: 1, 0: -1}))
     with pytest.raises(ZeroDivisionError):
-        _laurent_divide({0: F(1)}, {})
+        _laurent_divide(poly({0: 1}), poly({}))
+
+
+# an oracle for residue_sum: the integrand on Fraction dicts in t, with the
+# residues at t1, at -t1 and at each root taken one by one and summed as
+# rational functions, so nothing is paired and no common denominator is used
+
+
+def _acc(out, e, c):
+    s = out.get(e, 0) + c
+    if s:
+        out[e] = s
+    else:
+        out.pop(e, None)
+
+
+def _ladd(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        _acc(out, e, c)
+    return out
+
+
+def _lmul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _acc(out, ea + eb, ca * cb)
+    return out
+
+
+def _lscale(a, c):
+    return {e: v * c for e, v in a.items()} if c else {}
+
+
+def _leval(a, x):
+    return sum((c * x**e for e, c in a.items()), F(0))
+
+
+def _leval_deriv(a, x):
+    return sum((e * c * x ** (e - 1) for e, c in a.items()), F(0))
+
+
+def _from_even(p):
+    return {2 * e[0]: c for e, c in p.terms.items()}
+
+
+def _oracle_terms(curve, g, n, a):
+    w = curve.pair_weight
+    bracket = []
+    if g >= 1:
+        if is_stable(g - 1, n + 1):
+            q = compute(curve.config, g - 1, n + 1)
+            q = q.partial_evaluate({i + 2: a[i] for i in range(n - 1)})
+            bracket.append((_lscale(_from_even(q.diagonal_merge(0, 1)), -1), ()))
+        else:
+            bracket.append(({-2: -w / 4}, ()))
+    for g1, part1, g2, part2 in _extended_splittings(g, n - 1):
+        num = {0: F(-1)}
+        poles = []
+        for gp, labels, sign in ((g1, part1, 1), (g2, part2, -1)):
+            if gp == 0 and len(labels) == 1:
+                num = _lscale(num, w)
+                poles.append((-sign * a[labels[0]], 2))
+            else:
+                part = compute(curve.config, gp, len(labels) + 1)
+                part = part.partial_evaluate({i + 1: a[j] for i, j in enumerate(labels)})
+                num = _lmul(num, _from_even(part))
+        bracket.append((num, tuple(sorted(poles))))
+    k_num = {e + 1: -c for e, c in _from_even(curve.kappa_hat).items()}
+    return [(_lmul(num, k_num), poles) for num, poles in bracket]
+
+
+def _oracle_divide(num, den):
+    nmin, dmin = min(num), min(den)
+    rem = {e - nmin: c for e, c in num.items()}
+    div = {e - dmin: c for e, c in den.items()}
+    dtop = max(div)
+    quotient = {}
+    while rem:
+        rtop = max(rem)
+        assert rtop >= dtop, "residue sum did not reduce to a Laurent polynomial"
+        c = rem[rtop] / div[dtop]
+        quotient[rtop - dtop] = c
+        for e, v in div.items():
+            _acc(rem, e + rtop - dtop, -c * v)
+    return {e + nmin - dmin: c for e, c in quotient.items()}
+
+
+def _oracle_residue_sum(curve, g, n, spectators):
+    total = ({}, {0: F(1)})
+
+    def add(num, den):
+        nonlocal total
+        (n1, d1) = total
+        total = _ladd(_lmul(n1, den), _lmul(num, d1)), _lmul(d1, den)
+
+    for num, poles in _oracle_terms(curve, g, n, [F(v) for v in spectators]):
+        if not num:
+            continue
+        for sign in (1, -1):  # simple pole at t = sign * t1
+            den = {1: F(2 * sign)}
+            for root, mult in poles:
+                for _ in range(mult):
+                    den = _lmul(den, {1: F(sign), 0: -root})
+            add({e: c if e % 2 == 0 else c * sign for e, c in num.items()}, den)
+        for index, (root, _mult) in enumerate(poles):  # double pole at t = root
+            q, slope = F(1), F(0)
+            for r2, m2 in poles[:index] + poles[index + 1 :]:
+                q *= (root - r2) ** m2
+                slope += F(m2) / (root - r2)
+            r_at = {0: root * root * q, 2: -q}
+            r_prime_at = {0: 2 * root * q + root * root * q * slope, 2: -q * slope}
+            add(
+                _ladd(_lscale(r_at, _leval_deriv(num, root)),
+                      _lscale(r_prime_at, -_leval(num, root))),
+                _lmul(r_at, r_at),
+            )
+    num, den = total
+    flat = _oracle_divide(_lscale(num, -1), den)
+    assert not any(e % 2 for e in flat)
+    return EvenLaurentPoly(1, {(e // 2,): c for e, c in flat.items()})
+
+
+def test_residue_sum_matches_the_separate_residues():
+    for curve in CURVES.values():
+        for g, n in stable_types(4):
+            for spect in sample_spectators(curve.name, g, n, 2, 11):
+                got = residue_sum(curve, g, n, spect)
+                assert got == _oracle_residue_sum(curve, g, n, spect), (curve.name, g, n, spect)

@@ -65,6 +65,14 @@ def test_shape_mismatch_rejected():
         EvenLaurentPoly.zero(2) * EvenLaurentPoly.zero(3)
 
 
+def test_bool_exponents_rejected():
+    # True would pass as the int 1 and serialize as JSON true
+    with pytest.raises(ValueError, match="integers"):
+        EvenLaurentPoly(1, {(True,): 1})
+    with pytest.raises(ValueError, match="integers"):
+        EvenLaurentPoly.monomial(2, (1, False))
+
+
 def test_immutability():
     p = EvenLaurentPoly.constant(1, 1)
     with pytest.raises(AttributeError):
@@ -91,7 +99,7 @@ def test_results_are_canonical():
     at_zero = EvenLaurentPoly(3, {(1, 0, 0): 1, (0, 0, 1): 2}).partial_evaluate({0: 0})
     results = [
         p + q, p - p, -p, p * q, 0 * p, p * F(0), 3 * p,
-        p.d_square(0), p.shift(1, -2), p.leading_part(),
+        p.t_derivative(0), 3 * p.t_derivative(1), p.leading_part(),
         p.diagonal_merge(0, 1), p.substitute_slots({0: 2, 1: 0}, 3),
         p.partial_evaluate({1: 1}), at_zero, EvenLaurentPoly.sum(2, [p, q, -p]),
     ]
@@ -169,7 +177,6 @@ def test_integer_core_matches_fraction_dicts():
         x, y, z = dict(p.terms), dict(q.terms), dict(r.terms)  # duplicates merged
         scalar = F(rng.randint(-6, 6), rng.randint(1, 10))
         var = rng.randrange(n)
-        shift = rng.randint(-2, 2)
         perm = rng.sample(range(n + 1), n)
         point = {var: F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))}
         top = max(map(sum, x), default=None)
@@ -180,14 +187,7 @@ def test_integer_core_matches_fraction_dicts():
             (p * scalar, {e: c * scalar for e, c in x.items() if c * scalar}),
             (scalar * p, {e: c * scalar for e, c in x.items() if c * scalar}),
             (EvenLaurentPoly.sum(n, [p, q, r, -q]), _ref_add(x, z)),
-            (p.d_square(var), _ref_map(
-                {e: c for e, c in x.items() if e[var]},
-                lambda e: e[:var] + (e[var] - 1,) + e[var + 1 :],
-                lambda e, c: c * e[var],
-            )),
-            (p.shift(var, shift), _ref_map(
-                x, lambda e: e[:var] + (e[var] + shift,) + e[var + 1 :]
-            )),
+            (p.t_derivative(var), {e: c * (2 * e[var] + 1) for e, c in x.items()}),
             (p.substitute_slots(dict(enumerate(perm)), n + 1), _ref_map(
                 x, lambda e: tuple(e[perm.index(j)] if j in perm else 0 for j in range(n + 1))
             )),
@@ -213,11 +213,15 @@ def test_integer_core_matches_fraction_dicts():
         )
 
 
-def test_d_square_and_shift():
-    # d/du of u^2 - 3/u is 2u + 3/u^2
+def test_t_derivative():
+    # d/dt [t (t^4 - 3/t^2)] = 5 t^4 + 3/t^2
     p = EvenLaurentPoly(1, {(2,): 1, (-1,): -3})
-    assert p.d_square(0) == EvenLaurentPoly(1, {(1,): 2, (-2,): 3})
-    assert p.shift(0, 2) == EvenLaurentPoly(1, {(4,): 1, (1,): -3})
+    assert p.t_derivative(0) == EvenLaurentPoly(1, {(2,): 5, (-1,): 3})
+    # only the named slot's exponent weighs: d/dt_2 [t_2 u_1^2 u_2] = 3 u_1^2 u_2
+    q = EvenLaurentPoly(2, {(2, 1): F(1, 3), (0, -1): F(1, 2)})
+    assert q.t_derivative(1) == EvenLaurentPoly(2, {(2, 1): 1, (0, -1): F(-1, 2)})
+    with pytest.raises(ValueError):
+        q.t_derivative(2)
 
 
 def test_substitute_slots():

@@ -8,9 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonvol import clear_caches
+from ribbonvol import cache_info, clear_caches, lattice
 from ribbonvol.lattice import (
-    CountTable,
     census,
     count,
     oracle_n02,
@@ -175,6 +174,17 @@ def test_recursion_rhs_rejects_base_cases():
         recursion_rhs(0, 3, (1, 1, 2), 0)
 
 
+def test_recursion_rhs_rejects_a_pivot_out_of_range():
+    # -1 would pick the last slot and memoize rest tuples of the wrong
+    # length, and n is past the end
+    clear_caches()
+    for pivot in (-1, 3):
+        with pytest.raises(ValueError, match="pivot"):
+            recursion_rhs(1, 3, (2, 4, 6), pivot)
+    assert cache_info()["lattice"] == 0
+    assert recursion_rhs(1, 3, (2, 4, 6), 2) == count(1, 3, (2, 4, 6)) == F(83, 2)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         count(0, 2, (1, 1))
@@ -223,16 +233,20 @@ def test_census_rows_and_csv():
     assert "0,3,2,2,2,1,1" in lines
 
 
-def test_census_cache_round_trip(tmp_path):
+def _no_counting(*args):
+    raise AssertionError("a warm census read computed a count")
+
+
+def test_census_cache_round_trip(tmp_path, monkeypatch):
     first = census(1, 1, 10, cache_dir=str(tmp_path))
     files = list(tmp_path.glob("census-*.json"))
     assert len(files) == 1
     doc = json.loads(files[0].read_text())
     assert doc["format"] == "ribbonvol-census"
+    # the warm read is the file alone: no count is computed
+    monkeypatch.setattr(lattice, "count", _no_counting)
     second = census(1, 1, 10, cache_dir=str(tmp_path))
     assert first.entries == second.entries
-    rebuilt = CountTable.from_json_dict(doc)
-    assert rebuilt.entries == first.entries
 
 
 def test_census_cache_ignores_foreign_files(tmp_path):
@@ -316,8 +330,9 @@ def test_concurrent_census_writers_share_no_file(tmp_path, monkeypatch):
         assert _run_threads(lambda: census(1, 2, 16, cache_dir=str(tmp_path)), workers=8) == []
         # nothing left behind but the table, and the table loads as written
         assert os.listdir(tmp_path) == [target.name]
-        doc = json.loads(target.read_text())
-        assert CountTable.from_json_dict(doc).entries == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "count", _no_counting)
+            assert census(1, 2, 16, cache_dir=str(tmp_path)).entries == expected
         target.unlink()
 
 
