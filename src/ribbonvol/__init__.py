@@ -7,80 +7,61 @@ Everything is computed over the rationals with zero tolerance; numerical
 types never enter.
 """
 
-from . import lattice, transform
-from ._version import __version__
-from .crosscheck import (
-    CLASSICAL_INTERSECTIONS,
-    golden_laplace,
-    intersection_ratio_report,
-    perimeter_volume,
-    series_identity,
-    verify_continuous_recursion,
-)
-from .eo import (
-    CURVE_EUCLIDEAN,
-    CURVE_LAPLACE,
-    CURVE_SYMPLECTIC,
-    CURVES,
-    residue_sum,
-    verify_eo,
-)
-from .exactmath import (
-    EvenLaurentPoly,
-    divided_difference,
-    laurent_to_series,
-)
-from .lattice import CountTable, census, count
-from .surface import enumerate_splittings, is_stable
-from .transform import (
-    CONFIGS,
-    EUCLIDEAN,
-    LAPLACE,
-    SYMPLECTIC,
-    compute,
-    euclidean_matches_leading,
-    intersection_numbers,
-    kontsevich_ratio,
-)
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "CLASSICAL_INTERSECTIONS",
-    "CONFIGS",
-    "CountTable",
-    "CURVE_EUCLIDEAN",
-    "CURVE_LAPLACE",
-    "CURVE_SYMPLECTIC",
-    "CURVES",
-    "EUCLIDEAN",
-    "EvenLaurentPoly",
-    "LAPLACE",
-    "SYMPLECTIC",
-    "cache_info",
-    "census",
-    "clear_caches",
-    "compute",
-    "count",
-    "divided_difference",
-    "enumerate_splittings",
-    "euclidean_matches_leading",
-    "golden_laplace",
-    "intersection_numbers",
-    "intersection_ratio_report",
-    "is_stable",
-    "kontsevich_ratio",
-    "laurent_to_series",
-    "perimeter_volume",
-    "residue_sum",
-    "series_identity",
-    "verify_continuous_recursion",
-    "verify_eo",
-]
+from ._version import __version__
+
+#: public name -> its module, imported on first access (``__getattr__``)
+_HOMES = {
+    "CLASSICAL_INTERSECTIONS": "crosscheck",
+    "golden_laplace": "crosscheck",
+    "intersection_ratio_report": "crosscheck",
+    "perimeter_volume": "crosscheck",
+    "series_identity": "crosscheck",
+    "verify_continuous_recursion": "crosscheck",
+    "CURVE_EUCLIDEAN": "eo",
+    "CURVE_LAPLACE": "eo",
+    "CURVE_SYMPLECTIC": "eo",
+    "CURVES": "eo",
+    "residue_sum": "eo",
+    "verify_eo": "eo",
+    "EvenLaurentPoly": "exactmath",
+    "divided_difference": "exactmath",
+    "laurent_to_series": "exactmath",
+    "CountTable": "lattice",
+    "census": "lattice",
+    "count": "lattice",
+    "enumerate_splittings": "surface",
+    "is_stable": "surface",
+    "CONFIGS": "transform",
+    "EUCLIDEAN": "transform",
+    "LAPLACE": "transform",
+    "SYMPLECTIC": "transform",
+    "compute": "transform",
+    "euclidean_matches_leading": "transform",
+    "intersection_numbers": "transform",
+    "kontsevich_ratio": "transform",
+}
+
+__all__ = ["__version__", "cache_info", "clear_caches", *_HOMES]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 def clear_caches() -> None:
     """Empty the engine tables of every configuration, and the lattice memo
     and moment tables."""
+    from . import lattice, transform
+
     for table in transform._tables.values():
         table.clear()
     lattice._clear()
@@ -89,6 +70,8 @@ def clear_caches() -> None:
 def cache_info() -> dict:
     """Entries held per engine configuration, and the lattice memo size:
     ``{"engine": {config name: tables}, "lattice": memo entries}``."""
+    from . import lattice, transform
+
     return {
         "engine": {name: len(table) for name, table in transform._tables.items()},
         "lattice": len(lattice._memo),

@@ -10,33 +10,21 @@ Subcommands:
 All output is deterministic for fixed arguments: table rows, JSON keys and
 verification cases are emitted in sorted order, and randomized suites are
 driven by the --seed value.  Exit status is 0 on success, 1 when a
-verification or computation fails, 2 on bad usage.
+verification or computation fails (or the reader of the output goes
+away), 2 on bad usage.
+
+Each subcommand imports only the modules it uses, so start-up is paid for
+the work asked for and no more.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from fractions import Fraction
 
 from ._version import __version__
-from .crosscheck import (
-    golden_laplace,
-    intersection_ratio_report,
-    series_identity,
-    verify_continuous_recursion,
-)
-from .eo import CURVES, verify_eo
-from .lattice import census, count
 from .surface import is_stable, stable_types
-from .transform import (
-    CONFIGS,
-    LAPLACE,
-    compute,
-    euclidean_matches_leading,
-    kontsevich_ratio,
-)
 
 _POLY_KINDS = {"L": "laplace", "VE": "euclidean", "VS": "symplectic"}
 
@@ -55,7 +43,7 @@ def _parse_gn(text: str) -> tuple[int, int]:
     return g, n
 
 
-def _fraction_text(value: Fraction) -> str:
+def _fraction_text(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -75,6 +63,9 @@ def _poly_text(poly) -> str:
 
 
 def _cmd_count(args, parser) -> int:
+    import json
+    from .lattice import census, count
+
     try:
         g, n = _parse_gn(args.gn)
     except ValueError as exc:
@@ -83,6 +74,8 @@ def _cmd_count(args, parser) -> int:
         parser.error("provide exactly one of --p and --max-sum")
 
     if args.p is not None:
+        if args.format == "csv" or args.cache_dir is not None:
+            parser.error("--format csv and --cache-dir need --max-sum")
         try:
             p = tuple(int(part) for part in args.p.split(","))
             value = count(g, n, p)
@@ -112,6 +105,9 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_poly(args, parser) -> int:
+    import json
+    from .transform import CONFIGS, compute
+
     config = CONFIGS[_POLY_KINDS[args.kind]]
     if not is_stable(args.g, args.n):
         parser.error(f"({args.g}, {args.n}) is not a stable surface type")
@@ -131,24 +127,27 @@ def _cmd_poly(args, parser) -> int:
 def _verify_cases(suite: str, level: int | None, seed: int, trials: int):
     """Yield (suite, case, ok, detail) rows for one suite."""
     if suite == "golden":
-        reference = golden_laplace()
-        for (g, n), expected in sorted(reference.items()):
+        from .crosscheck import golden_laplace
+        from .transform import LAPLACE, compute
+        for (g, n), expected in sorted(golden_laplace().items()):
             ok = compute(LAPLACE, g, n) == expected
             yield suite, f"L({g},{n})", ok, "matches closed form"
     elif suite == "ratio":
+        from .transform import kontsevich_ratio
         bound = level if level is not None else 5
         for g, n in stable_types(bound):
-            target = Fraction(2) ** (5 * g - 5 + 2 * n)
             try:
-                ok = kontsevich_ratio(g, n) == target
+                ok = kontsevich_ratio(g, n) == 2 ** (5 * g - 5 + 2 * n)
             except ArithmeticError:
                 ok = False
             yield suite, f"VS/VE({g},{n})", ok, f"2^{5 * g - 5 + 2 * n}"
     elif suite == "leading":
+        from .transform import euclidean_matches_leading
         bound = level if level is not None else 5
         for g, n in stable_types(bound):
             yield suite, f"VE({g},{n})", euclidean_matches_leading(g, n), "top part of L"
     elif suite == "series":
+        from .crosscheck import series_identity
         bound = level if level is not None else 12
         for g, n in _SERIES_TYPES:
             try:
@@ -157,21 +156,32 @@ def _verify_cases(suite: str, level: int | None, seed: int, trials: int):
             except ArithmeticError as exc:
                 yield suite, f"series({g},{n})", False, str(exc)
     elif suite == "eo":
+        from .eo import CURVES, verify_eo
         for name in sorted(CURVES):
             for g, n in _EO_TYPES:
-                results = verify_eo(CURVES[name], g, n, trials=trials, seed=seed)
-                ok = all(flag for _, flag in results)
-                yield suite, f"residues[{name}]({g},{n})", ok, f"{len(results)} trials"
+                case = f"residues[{name}]({g},{n})"
+                try:
+                    results = verify_eo(CURVES[name], g, n, trials=trials, seed=seed)
+                    ok = all(flag for _, flag in results)
+                    yield suite, case, ok, f"{len(results)} trials"
+                except ArithmeticError as exc:
+                    yield suite, case, False, str(exc)
     elif suite == "symplectic":
+        from .crosscheck import verify_continuous_recursion
         for g, n in _CONTINUOUS_TYPES:
-            results = verify_continuous_recursion(g, n, trials=trials, seed=seed)
-            ok = all(flag for _, flag in results)
-            yield suite, f"integral({g},{n})", ok, f"{len(results)} chamber points"
+            try:
+                results = verify_continuous_recursion(g, n, trials=trials, seed=seed)
+                ok = all(flag for _, flag in results)
+                yield suite, f"integral({g},{n})", ok, f"{len(results)} chamber points"
+            except ArithmeticError as exc:
+                yield suite, f"integral({g},{n})", False, str(exc)
     else:  # pragma: no cover - guarded by argparse choices
         raise ValueError(suite)
 
 
 def _cmd_verify(args, parser) -> int:
+    import json
+
     # a suite that checks nothing must not report success
     if args.trials < 1:
         parser.error("--trials must be positive")
@@ -204,6 +214,8 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_intersect(args, parser) -> int:
+    from .crosscheck import intersection_ratio_report
+
     if not is_stable(args.g, args.n):
         parser.error(f"({args.g}, {args.n}) is not a stable surface type")
     try:
@@ -282,7 +294,14 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "intersect": _cmd_intersect,
     }
-    return handlers[args.command](args, parser)
+    try:
+        code = handlers[args.command](args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: send the rest, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

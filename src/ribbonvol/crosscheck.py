@@ -36,7 +36,6 @@ from math import factorial, prod
 from typing import Sequence
 
 from .exactmath import EvenLaurentPoly, laurent_to_series
-from .lattice import count
 from .surface import enumerate_splittings, is_stable, perimeter_vectors
 from .transform import LAPLACE, SYMPLECTIC, compute, intersection_numbers
 
@@ -46,6 +45,8 @@ def series_identity(g: int, n: int, max_sum: int) -> int:
     returns the number of lattice points checked, raises on any mismatch.
     A bound below n admits no lattice point and is rejected with
     ``ValueError`` rather than passed vacuously."""
+    from .lattice import count  # here: no other check needs the lattice recursion
+
     if max_sum < n:
         raise ValueError(f"max_sum must be at least n = {n}: every perimeter is positive")
     series = laurent_to_series(compute(LAPLACE, g, n), max_sum)

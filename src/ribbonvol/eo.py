@@ -35,17 +35,15 @@ against the recursion engine's output at seeded random spectator values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import EvenLaurentPoly, _accumulate
 from .surface import is_stable
 from .transform import EUCLIDEAN, LAPLACE, SYMPLECTIC, RecursionConfig, compute
 
 
-@dataclass(frozen=True)
-class SpectralCurveSpec:
+class SpectralCurveSpec(NamedTuple):
     name: str
     x: Callable[[Fraction], Fraction]
     y: Callable[[Fraction], Fraction]
@@ -106,8 +104,7 @@ def check_kernel_identity(curve: SpectralCurveSpec) -> bool:
 # integrand assembly
 
 
-@dataclass
-class Term:
+class Term(NamedTuple):
     """One additive piece of omega: t * num(t^2) / ((t^2 - t1^2) * prod (t - root)^2).
 
     ``num`` is a one-variable polynomial in u = t^2 and may carry negative

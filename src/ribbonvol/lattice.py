@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from fractions import Fraction
 from math import comb, lcm
@@ -356,6 +355,8 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
 def _write_cache(path: str, table: CountTable) -> None:
     """Write through a private temporary file, so that concurrent writers
     of one table never share a partial file, then move it into place."""
+    import tempfile
+
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")

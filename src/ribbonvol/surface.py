@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 def is_stable(g: int, n: int) -> bool:
@@ -41,8 +40,7 @@ def perimeter_vectors(n: int, max_sum: int, ascending: bool = False) -> Iterator
     return extend(n, max_sum, 1)
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     """An ordered stable splitting (g1, I) / (g2, J) of (g, labels).
 
     ``I`` and ``J`` partition the spectator labels; each part, together

@@ -41,16 +41,15 @@ safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from .exactmath import EvenLaurentPoly, divided_difference
 from .surface import enumerate_splittings, is_stable
 
 
-@dataclass(frozen=True)
-class RecursionConfig:
+class RecursionConfig(NamedTuple):
     """One admissible configuration of the engine.
 
     ``kappa`` is a one-variable even Laurent polynomial in u = t^2;

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ribbonvol import crosscheck, eo
 from ribbonvol.cli import main
 from ribbonvol.exactmath import EvenLaurentPoly
 
@@ -90,6 +95,16 @@ def test_count_usage_errors(capsys):
         main(["count", "--gn", "0,2", "--p", "1,1"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option", [["--format", "csv"], ["--cache-dir", "unused"]])
+def test_count_single_rejects_census_options(capsys, option):
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--gn", "1,1", "--p", "6", *option])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--format csv and --cache-dir need --max-sum" in captured.err
+    assert captured.out == ""
 
 
 def test_census_rejects_a_bound_without_vectors(capsys):
@@ -213,6 +228,48 @@ def test_verify_series_at_the_least_level(capsys):
     assert code == 0
     details = {doc["case"]: doc["detail"] for doc in map(json.loads, out.splitlines())}
     assert details["series(0,4)"] == "1 lattice points"
+
+
+def _broken(*args, **kwargs):
+    raise ArithmeticError("injected arithmetic failure")
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, rows",
+    [("eo", eo, "residue_sum", 15), ("symplectic", crosscheck, "perimeter_volume", 2)],
+)
+def test_verify_reports_an_arithmetic_error_as_a_failed_case(
+    capsys, monkeypatch, suite, module, name, rows
+):
+    monkeypatch.setattr(module, name, _broken)
+    code, out = run(capsys, "verify", "--suite", suite, "--trials", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == f"{rows} check(s) failed"
+    assert len(lines) == rows + 1
+    for line in lines[:-1]:
+        assert line.startswith(f"FAIL {suite}")
+        assert line.endswith("injected arithmetic failure")
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # L(1,5) prints about 100 kB, more than a pipe holds, so the CLI is
+    # still writing when the reader closes its end
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ribbonvol.cli", "poly", "L", "1", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_verify_output_is_deterministic(capsys):
