@@ -13,7 +13,6 @@ from ._version import __version__
 
 #: public name -> its module, imported on first access (``__getattr__``)
 _HOMES = {
-    "CLASSICAL_INTERSECTIONS": "crosscheck",
     "golden_laplace": "crosscheck",
     "intersection_ratio_report": "crosscheck",
     "perimeter_volume": "crosscheck",
@@ -26,7 +25,6 @@ _HOMES = {
     "residue_sum": "eo",
     "verify_eo": "eo",
     "EvenLaurentPoly": "exactmath",
-    "divided_difference": "exactmath",
     "laurent_to_series": "exactmath",
     "CountTable": "lattice",
     "census": "lattice",

@@ -125,58 +125,59 @@ def _cmd_poly(args, parser) -> int:
 
 
 def _verify_cases(suite: str, level: int | None, seed: int, trials: int):
-    """Yield (suite, case, ok, detail) rows for one suite."""
+    """Yield (suite, case, ok, detail) rows for one suite.  Each case is a
+    check that returns (ok, detail); an ``ArithmeticError`` from one fails
+    that case, with the error text as its detail."""
+    bound = level if level is not None else 5
     if suite == "golden":
         from .crosscheck import golden_laplace
         from .transform import LAPLACE, compute
-        for (g, n), expected in sorted(golden_laplace().items()):
-            ok = compute(LAPLACE, g, n) == expected
-            yield suite, f"L({g},{n})", ok, "matches closed form"
+
+        def golden(g, n, expected):
+            return compute(LAPLACE, g, n) == expected, "matches closed form"
+        cases = [(f"L({g},{n})", golden, g, n, p) for (g, n), p in sorted(golden_laplace().items())]
     elif suite == "ratio":
         from .transform import kontsevich_ratio
-        bound = level if level is not None else 5
-        for g, n in stable_types(bound):
-            try:
-                ok = kontsevich_ratio(g, n) == 2 ** (5 * g - 5 + 2 * n)
-            except ArithmeticError:
-                ok = False
-            yield suite, f"VS/VE({g},{n})", ok, f"2^{5 * g - 5 + 2 * n}"
+
+        def ratio(g, n):
+            return kontsevich_ratio(g, n) == 2 ** (5 * g - 5 + 2 * n), f"2^{5 * g - 5 + 2 * n}"
+        cases = [(f"VS/VE({g},{n})", ratio, g, n) for g, n in stable_types(bound)]
     elif suite == "leading":
         from .transform import euclidean_matches_leading
-        bound = level if level is not None else 5
-        for g, n in stable_types(bound):
-            yield suite, f"VE({g},{n})", euclidean_matches_leading(g, n), "top part of L"
+
+        def leading(g, n):
+            return euclidean_matches_leading(g, n), "top part of L"
+        cases = [(f"VE({g},{n})", leading, g, n) for g, n in stable_types(bound)]
     elif suite == "series":
         from .crosscheck import series_identity
         bound = level if level is not None else 12
-        for g, n in _SERIES_TYPES:
-            try:
-                checked = series_identity(g, n, bound)
-                yield suite, f"series({g},{n})", True, f"{checked} lattice points"
-            except ArithmeticError as exc:
-                yield suite, f"series({g},{n})", False, str(exc)
+
+        def series(g, n):
+            return True, f"{series_identity(g, n, bound)} lattice points"
+        cases = [(f"series({g},{n})", series, g, n) for g, n in _SERIES_TYPES]
     elif suite == "eo":
         from .eo import CURVES, verify_eo
-        for name in sorted(CURVES):
-            for g, n in _EO_TYPES:
-                case = f"residues[{name}]({g},{n})"
-                try:
-                    results = verify_eo(CURVES[name], g, n, trials=trials, seed=seed)
-                    ok = all(flag for _, flag in results)
-                    yield suite, case, ok, f"{len(results)} trials"
-                except ArithmeticError as exc:
-                    yield suite, case, False, str(exc)
+
+        def residues(curve, g, n):
+            results = verify_eo(curve, g, n, trials=trials, seed=seed)
+            return all(flag for _, flag in results), f"{len(results)} trials"
+        cases = [(f"residues[{name}]({g},{n})", residues, CURVES[name], g, n)
+                 for name in sorted(CURVES) for g, n in _EO_TYPES]
     elif suite == "symplectic":
         from .crosscheck import verify_continuous_recursion
-        for g, n in _CONTINUOUS_TYPES:
-            try:
-                results = verify_continuous_recursion(g, n, trials=trials, seed=seed)
-                ok = all(flag for _, flag in results)
-                yield suite, f"integral({g},{n})", ok, f"{len(results)} chamber points"
-            except ArithmeticError as exc:
-                yield suite, f"integral({g},{n})", False, str(exc)
+
+        def integral(g, n):
+            results = verify_continuous_recursion(g, n, trials=trials, seed=seed)
+            return all(flag for _, flag in results), f"{len(results)} chamber points"
+        cases = [(f"integral({g},{n})", integral, g, n) for g, n in _CONTINUOUS_TYPES]
     else:  # pragma: no cover - guarded by argparse choices
         raise ValueError(suite)
+    for case, check, *args in cases:
+        try:
+            ok, detail = check(*args)
+        except ArithmeticError as exc:
+            ok, detail = False, str(exc)
+        yield suite, case, ok, detail
 
 
 def _cmd_verify(args, parser) -> int:
@@ -300,6 +301,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader went away: send the rest, and the flush at exit, nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except RecursionError as exc:
+        # the recursions go one call deeper per step of g or n
+        print(f"error: too deep a recursion for this interpreter ({exc})", file=sys.stderr)
         return 1
     return code
 

@@ -2,9 +2,15 @@
 
 Each configuration of the recursion engine has a spectral-curve avatar: a
 rational parametrization x(t), y(t) with deck involution s(t) = -t, and an
-even kernel factor kappa_hat(t) tied to the engine by
+even kernel factor kappa_hat(t) for which
 
     (y(t) - y(s(t))) * x'(t) * kappa_hat(t) = -1        (identically in t).
+
+A ``SpectralCurveSpec`` stores x, y, x', the pair weight w (below) and its
+engine ``config``.  Its ``name`` and ``kappa_hat`` are derived from
+``config``: the configuration's name, and kappa_hat(u) = -B * kappa(u)
+from its bracket factor B and kernel kappa.  So the identity above checks
+the curve against the engine configuration it is paired with.
 
 With K(t, t1) = -t * kappa_hat(t) / (t^2 - t1^2), the polynomial
 F_{g,n}(t1, a2, .., an) -- spectator variables frozen at rational values
@@ -44,41 +50,42 @@ from .transform import EUCLIDEAN, LAPLACE, SYMPLECTIC, RecursionConfig, compute
 
 
 class SpectralCurveSpec(NamedTuple):
-    name: str
     x: Callable[[Fraction], Fraction]
     y: Callable[[Fraction], Fraction]
     x_prime: Callable[[Fraction], Fraction]
-    kappa_hat: EvenLaurentPoly  # arity 1, in u = t^2
     pair_weight: Fraction
     config: RecursionConfig
 
+    @property
+    def name(self) -> str:
+        return self.config.name
+
+    @property
+    def kappa_hat(self) -> EvenLaurentPoly:
+        """-B * kappa(u) of the engine configuration, arity 1 in u = t^2."""
+        return (-self.config.b_factor) * self.config.kappa
+
 
 CURVE_LAPLACE = SpectralCurveSpec(
-    name="laplace",
     x=lambda t: 2 + Fraction(4, 1) / (t * t - 1),
     y=lambda t: (t + 1) / (t - 1),
     x_prime=lambda t: Fraction(-8, 1) * t / (t * t - 1) ** 2,
-    kappa_hat=(-LAPLACE.b_factor) * LAPLACE.kappa,
     pair_weight=Fraction(1),
     config=LAPLACE,
 )
 
 CURVE_EUCLIDEAN = SpectralCurveSpec(
-    name="euclidean",
     x=lambda t: 2 + Fraction(4, 1) / (t * t),
     y=lambda t: 1 + Fraction(2, 1) / t,
     x_prime=lambda t: Fraction(-8, 1) / t**3,
-    kappa_hat=(-EUCLIDEAN.b_factor) * EUCLIDEAN.kappa,
     pair_weight=Fraction(1),
     config=EUCLIDEAN,
 )
 
 CURVE_SYMPLECTIC = SpectralCurveSpec(
-    name="symplectic",
     x=lambda t: Fraction(1, 1) / (t * t),
     y=lambda t: Fraction(1, 1) / t,
     x_prime=lambda t: Fraction(-2, 1) / t**3,
-    kappa_hat=(-SYMPLECTIC.b_factor) * SYMPLECTIC.kappa,
     pair_weight=Fraction(1, 2),
     config=SYMPLECTIC,
 )

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import add, getitem, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .surface import perimeter_vectors
 
@@ -280,19 +280,21 @@ class EvenLaurentPoly:
         """Re-embed into ``new_arity`` variables via an injective slot map.
 
         ``mapping[old_slot] = new_slot`` must cover every slot this
-        polynomial actually uses; unmapped new slots get exponent 0.
+        polynomial actually uses, and name no other; unmapped new slots get
+        exponent 0.
         """
         targets = list(mapping.values())
         if len(set(targets)) != len(targets):
             raise ValueError("slot map must be injective")
         if any(not 0 <= s < new_arity for s in targets):
             raise ValueError("slot map target out of range")
+        for old in mapping:
+            self._check_var(old)
         unmapped = [old for old in range(self.arity) if old not in mapping]
         # new slot -> old slot, or the index of a 0 appended to the exponents
         source = [self.arity] * new_arity
         for old, new in mapping.items():
-            if 0 <= old < self.arity:
-                source[new] = old
+            source[new] = old
         pad = (0,) if self.arity in source else ()
         if new_arity > 1:
             pick = itemgetter(*source)
@@ -343,9 +345,6 @@ class EvenLaurentPoly:
         """Maximal ``sum(a)`` over terms, or None for the zero polynomial."""
         return max(map(sum, self._num), default=None)
 
-    def is_homogeneous(self) -> bool:
-        return len(set(map(sum, self._num))) <= 1
-
     def evaluate(self, point: Sequence[object]) -> Fraction:
         """Evaluate at a rational point; nonzero coordinates required
         wherever a negative exponent occurs."""
@@ -386,11 +385,6 @@ class EvenLaurentPoly:
                 for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "EvenLaurentPoly":
-        terms = {tuple(item["exponents"]): Fraction(item["coefficient"]) for item in doc["terms"]}
-        return cls(doc["arity"], terms)
 
     def to_latex(self, var: str = "t") -> str:
         """Render grouped by total degree, highest first."""
@@ -492,56 +486,17 @@ def _check_quotient(f: EvenLaurentPoly, q: EvenLaurentPoly, slot_a: int, slot_b:
         raise ArithmeticError("divided difference left a nonzero remainder")
 
 
-class TruncatedSeries:
-    """A multivariate power series kept to total degree <= order.
+class TruncatedSeries(NamedTuple):
+    """A multivariate power series kept to total degree <= ``order``, as
+    ``laurent_to_series`` returns it: ``terms`` is a read-only view of
+    nonnegative exponent vectors to exact rational coefficients."""
 
-    Exponent vectors are componentwise nonnegative; coefficients are exact
-    rationals.  ``laurent_to_series`` builds these; the constructor checks
-    outside input the same way ``EvenLaurentPoly``'s does, and ``terms`` is
-    a read-only view, as there.
-    """
-
-    __slots__ = ("arity", "order", "_terms")
-
-    def __init__(self, arity: int, order: int, terms: Mapping[Sequence[int], object] | None = None):
-        if arity < 0 or order < 0:
-            raise ValueError("arity and order must be nonnegative")
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            key = tuple(exps)
-            if len(key) != arity:
-                raise ValueError(f"exponent vector {key} does not match arity {arity}")
-            if any(e < 0 for e in key):
-                raise ValueError("series exponents must be nonnegative")
-            if sum(key) > order:
-                continue
-            _accumulate(clean, key, _as_fraction(coeff))
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def terms(self) -> Mapping[Exponents, Fraction]:
-        """Read-only view of the exponent-vector -> coefficient mapping."""
-        return MappingProxyType(self._terms)
+    arity: int
+    order: int
+    terms: Mapping[Exponents, Fraction]
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and (self.arity, self.order) == (other.arity, other.order)
-            and self._terms == other._terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(arity={self.arity}, order={self.order}, {len(self._terms)} terms)"
+        return self.terms.get(tuple(exponents), Fraction(0))
 
 
 def edge_coefficient(a: int, m: int) -> int:
@@ -588,4 +543,4 @@ def laurent_to_series(p: EvenLaurentPoly, order: int) -> TruncatedSeries:
         total = sum(prod(map(getitem, cols, m), start=num) for num, cols in weighted)
         if total:
             out[m] = Fraction(total, den)
-    return TruncatedSeries(p.arity, order, out)
+    return TruncatedSeries(p.arity, order, MappingProxyType(out))

@@ -270,13 +270,6 @@ def oracle_n11(p: int) -> Fraction:
     return Fraction(comb(q - 1, 2), 6) + Fraction(q - 1, 4)
 
 
-def oracle_n02(p1: int, p2: int) -> Fraction:
-    """The cylinder count N_{0,2}(p1, p2) = delta_{p1 p2} / p1."""
-    if p1 <= 0 or p2 <= 0:
-        raise ValueError("perimeters must be positive")
-    return Fraction(1, p1) if p1 == p2 else _ZERO
-
-
 # ---------------------------------------------------------------------------
 # census tables
 

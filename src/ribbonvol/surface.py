@@ -53,9 +53,6 @@ class Splitting(NamedTuple):
     g2: int
     part2: tuple
 
-    def swapped(self) -> "Splitting":
-        return Splitting(self.g2, self.part2, self.g1, self.part1)
-
 
 def enumerate_splittings(g: int, labels: Sequence) -> list[Splitting]:
     """All ordered stable splittings of genus ``g`` over ``labels``.

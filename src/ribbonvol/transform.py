@@ -149,8 +149,8 @@ def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
     def bracket_parts():
         if g >= 1:
             yield compute(config, g - 1, n + 1).diagonal_merge(0, 1)
-        # sp and sp.swapped() embed to the same product: it is computed for
-        # one order and doubled; the self-swapped splitting counts once
+        # a splitting and its swap embed to the same product: it is computed
+        # for one order and doubled; the self-swapped splitting counts once
         doubled = []
         for sp in enumerate_splittings(g, range(1, n)):
             one, other = (sp.g1, sp.part1), (sp.g2, sp.part2)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ribbonvol import crosscheck, eo
+from ribbonvol import crosscheck, eo, transform
 from ribbonvol.cli import main
 from ribbonvol.exactmath import EvenLaurentPoly
 
@@ -146,7 +146,9 @@ def test_poly_json_round_trip(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["kind"], doc["g"], doc["n"]) == ("L", 1, 2)
-    poly = EvenLaurentPoly.from_json_dict(doc)
+    poly = EvenLaurentPoly(
+        doc["arity"], {tuple(t["exponents"]): t["coefficient"] for t in doc["terms"]}
+    )
     from ribbonvol.transform import LAPLACE, compute
 
     assert poly == compute(LAPLACE, 1, 2)
@@ -236,7 +238,14 @@ def _broken(*args, **kwargs):
 
 @pytest.mark.parametrize(
     "suite, module, name, rows",
-    [("eo", eo, "residue_sum", 15), ("symplectic", crosscheck, "perimeter_volume", 2)],
+    [
+        ("golden", transform, "compute", 6),
+        ("ratio", transform, "kontsevich_ratio", 14),
+        ("leading", transform, "euclidean_matches_leading", 14),
+        ("series", crosscheck, "series_identity", 4),
+        ("eo", eo, "residue_sum", 15),
+        ("symplectic", crosscheck, "perimeter_volume", 2),
+    ],
 )
 def test_verify_reports_an_arithmetic_error_as_a_failed_case(
     capsys, monkeypatch, suite, module, name, rows
@@ -250,6 +259,15 @@ def test_verify_reports_an_arithmetic_error_as_a_failed_case(
     for line in lines[:-1]:
         assert line.startswith(f"FAIL {suite}")
         assert line.endswith("injected arithmetic failure")
+
+
+@pytest.mark.parametrize("argv", [["poly", "L", "200", "1"], ["intersect", "300", "1"]])
+def test_a_recursion_too_deep_is_an_error_not_a_traceback(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_a_reader_that_stops_early_ends_the_run_quietly():

@@ -18,7 +18,7 @@ from ribbonvol.eo import (
 )
 from ribbonvol.exactmath import EvenLaurentPoly
 from ribbonvol.surface import is_stable, stable_types
-from ribbonvol.transform import compute
+from ribbonvol.transform import LAPLACE, compute
 
 F = Fraction
 
@@ -29,11 +29,9 @@ def test_kernel_identity_all_curves():
     for curve in CURVES.values():
         assert check_kernel_identity(curve), curve.name
         assert kernel_identity_defect(curve, F(7, 3)) == 0
-
-
-def test_kernel_factor_ties_to_engine():
-    for curve in CURVES.values():
-        assert curve.kappa_hat == (-curve.config.b_factor) * curve.config.kappa
+    # kappa_hat comes from the config, so a curve paired with a foreign
+    # engine configuration fails the identity
+    assert not check_kernel_identity(CURVE_SYMPLECTIC._replace(config=LAPLACE))
 
 
 def test_residue_reproduces_one_boundary_torus():

@@ -12,7 +12,6 @@ from ribbonvol import cache_info, clear_caches, lattice
 from ribbonvol.lattice import (
     census,
     count,
-    oracle_n02,
     oracle_n11,
     recursion_rhs,
 )
@@ -115,12 +114,6 @@ def test_one_vertex_oracle():
     assert oracle_n11(7) == 0
     with pytest.raises(ValueError):
         oracle_n11(0)
-
-
-def test_cylinder_oracle():
-    assert oracle_n02(3, 3) == F(1, 3)
-    assert oracle_n02(2, 5) == 0
-    assert oracle_n02(1, 1) == 1
 
 
 def test_counts_match_one_vertex_oracle():
