@@ -11,7 +11,7 @@ All output is deterministic for fixed arguments: table rows, JSON keys and
 verification cases are emitted in sorted order, and randomized suites are
 driven by the --seed value.  Exit status is 0 on success, 1 when a
 verification or computation fails (or the reader of the output goes
-away), 2 on bad usage.
+away), 2 on bad usage; ``main`` reports a failed computation on one line.
 
 Each subcommand imports only the modules it uses, so start-up is paid for
 the work asked for and no more.
@@ -219,11 +219,7 @@ def _cmd_intersect(args, parser) -> int:
 
     if not is_stable(args.g, args.n):
         parser.error(f"({args.g}, {args.n}) is not a stable surface type")
-    try:
-        rows = intersection_ratio_report(args.g, args.n)
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rows = intersection_ratio_report(args.g, args.n)
     ratios = set()
     for key, literal, classical, ratio in rows:
         tau = " ".join(f"tau_{d}" for d in key)
@@ -305,6 +301,9 @@ def main(argv=None) -> int:
     except RecursionError as exc:
         # the recursions go one call deeper per step of g or n
         print(f"error: too deep a recursion for this interpreter ({exc})", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # an exactness check failed
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
 

@@ -6,11 +6,12 @@ even kernel factor kappa_hat(t) for which
 
     (y(t) - y(s(t))) * x'(t) * kappa_hat(t) = -1        (identically in t).
 
-A ``SpectralCurveSpec`` stores x, y, x', the pair weight w (below) and its
-engine ``config``.  Its ``name`` and ``kappa_hat`` are derived from
-``config``: the configuration's name, and kappa_hat(u) = -B * kappa(u)
-from its bracket factor B and kernel kappa.  So the identity above checks
-the curve against the engine configuration it is paired with.
+A ``SpectralCurveSpec`` stores y, x' (x enters only through it), the pair
+weight w (below) and its engine ``config``.  Its ``name`` and
+``kappa_hat`` are derived from ``config``: the configuration's name, and
+kappa_hat(u) = -B * kappa(u) from its bracket factor B and kernel kappa.
+So the identity above checks the curve against the engine configuration
+it is paired with.
 
 With K(t, t1) = -t * kappa_hat(t) / (t^2 - t1^2), the polynomial
 F_{g,n}(t1, a2, .., an) -- spectator variables frozen at rational values
@@ -50,7 +51,6 @@ from .transform import EUCLIDEAN, LAPLACE, SYMPLECTIC, RecursionConfig, compute
 
 
 class SpectralCurveSpec(NamedTuple):
-    x: Callable[[Fraction], Fraction]
     y: Callable[[Fraction], Fraction]
     x_prime: Callable[[Fraction], Fraction]
     pair_weight: Fraction
@@ -67,25 +67,22 @@ class SpectralCurveSpec(NamedTuple):
 
 
 CURVE_LAPLACE = SpectralCurveSpec(
-    x=lambda t: 2 + Fraction(4, 1) / (t * t - 1),
     y=lambda t: (t + 1) / (t - 1),
-    x_prime=lambda t: Fraction(-8, 1) * t / (t * t - 1) ** 2,
+    x_prime=lambda t: Fraction(-8, 1) * t / (t * t - 1) ** 2,  # x = 2 + 4/(t^2 - 1)
     pair_weight=Fraction(1),
     config=LAPLACE,
 )
 
 CURVE_EUCLIDEAN = SpectralCurveSpec(
-    x=lambda t: 2 + Fraction(4, 1) / (t * t),
     y=lambda t: 1 + Fraction(2, 1) / t,
-    x_prime=lambda t: Fraction(-8, 1) / t**3,
+    x_prime=lambda t: Fraction(-8, 1) / t**3,  # x = 2 + 4/t^2
     pair_weight=Fraction(1),
     config=EUCLIDEAN,
 )
 
 CURVE_SYMPLECTIC = SpectralCurveSpec(
-    x=lambda t: Fraction(1, 1) / (t * t),
     y=lambda t: Fraction(1, 1) / t,
-    x_prime=lambda t: Fraction(-2, 1) / t**3,
+    x_prime=lambda t: Fraction(-2, 1) / t**3,  # x = 1/t^2
     pair_weight=Fraction(1, 2),
     config=SYMPLECTIC,
 )
@@ -271,7 +268,10 @@ def sample_spectators(curve_name: str, g: int, n: int, trials: int,
 def verify_eo(curve: SpectralCurveSpec, g: int, n: int, trials: int = 5,
               seed: int = 0) -> list[tuple[tuple[Fraction, ...], bool]]:
     """Compare residue extraction against the recursion engine at seeded
-    spectator values; returns one (spectators, matched) entry per trial."""
+    spectator values; returns one (spectators, matched) entry per trial, and
+    raises ``ValueError`` for ``trials < 1``, which would check nothing."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     reference = compute(curve.config, g, n)
     results = []
     for spect in sample_spectators(curve.name, g, n, trials, seed):

@@ -130,6 +130,8 @@ class EvenLaurentPoly:
     __slots__ = ("arity", "_num", "_den", "_view")
 
     def __init__(self, arity: int, terms: Mapping[Sequence[int], object] | None = None):
+        if hasattr(self, "arity"):  # a second call would rewrite a shared polynomial
+            raise AttributeError("EvenLaurentPoly is immutable")
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         clean: dict[Exponents, Fraction] = {}
@@ -386,14 +388,14 @@ class EvenLaurentPoly:
             ],
         }
 
-    def to_latex(self, var: str = "t") -> str:
+    def to_latex(self) -> str:
         """Render grouped by total degree, highest first."""
         if not self._num:
             return "0"
         groups: dict[int, list[str]] = {}
         for exps, c in self.sorted_terms():
             mono = "".join(
-                f"{var}_{{{j + 1}}}^{{{2 * e}}}" for j, e in enumerate(exps) if e
+                f"t_{{{j + 1}}}^{{{2 * e}}}" for j, e in enumerate(exps) if e
             )
             if c.denominator == 1:
                 num = str(abs(c.numerator))

@@ -320,9 +320,9 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
 
     When ``cache_dir`` (or the RIBBONVOL_CACHE_DIR environment variable)
     is set, the table is read from / written to a JSON file addressed by
-    (g, n, max_sum); files written by a different package version, or
-    whose entries are not exactly the table's vectors with exact values,
-    are ignored and recomputed.  A ``cache_dir`` that exists but is not a
+    (g, n, max_sum); a file is used only if the table read from it writes
+    back the same document (``_load_cache``), and is otherwise recomputed
+    and replaced.  A ``cache_dir`` that exists but is not a
     directory raises ``NotADirectoryError`` before anything is computed.
     A ``max_sum`` below ``n`` admits no vector and is rejected rather than
     answered with an empty table.
@@ -363,31 +363,15 @@ def _write_cache(path: str, table: CountTable) -> None:
 
 
 def _load_cache(path, g, n, max_sum):
-    """The table in ``path``, or None when the file is missing, foreign or
-    malformed.  Its entries must list exactly the nondecreasing vectors
-    with sum <= ``max_sum``, in order, each with a ``"p/q"`` string value."""
+    """The table in ``path``, or None unless its values, one per vector of the table in order,
+    build a table whose ``to_json_dict()`` equals the decoded file.  The test is ``==``, so a
+    JSON number spelled ``true`` or ``6.0`` where the writer puts ``1`` or ``6`` still passes."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError):
+        vectors = perimeter_vectors(n, max_sum, ascending=True)
+        entries = {p: Fraction(value) for p, (_, value) in zip(vectors, doc["entries"], strict=True)}
+    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError):
         return None
-    if not isinstance(doc, dict):
-        return None
-    if doc.get("format") != "ribbonvol-census" or doc.get("version") != __version__:
-        return None
-    if (doc.get("g"), doc.get("n"), doc.get("max_sum")) != (g, n, max_sum):
-        return None
-    rows = doc.get("entries")
-    expected = list(perimeter_vectors(n, max_sum, ascending=True))
-    if not isinstance(rows, list) or len(rows) != len(expected):
-        return None
-    entries = {}
-    for row, p in zip(rows, expected):
-        if not (isinstance(row, list) and len(row) == 2 and row[0] == list(p)
-                and isinstance(row[1], str)):
-            return None
-        try:
-            entries[p] = Fraction(row[1])
-        except (ValueError, ZeroDivisionError):
-            return None
-    return CountTable(g, n, max_sum, entries)
+    table = CountTable(g, n, max_sum, entries)
+    return table if table.to_json_dict() == doc else None

@@ -35,8 +35,8 @@ Each distinct term is computed once, by the S_n symmetry of F:
   splitting (n = 1, equal genera) is multiplied once and not doubled.
 
 Everything is computed bottom-up in the complexity 2g - 2 + n and
-memoized per configuration; results are canonical (symmetric, exact) and
-safe to share.
+memoized per entry of ``CONFIGS``, the closed set ``compute`` accepts;
+results are canonical (symmetric, exact) and safe to share.
 """
 
 from __future__ import annotations
@@ -111,10 +111,12 @@ _tables: dict[str, dict[tuple[int, int], EvenLaurentPoly]] = {name: {} for name 
 
 
 def compute(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
-    """The polynomial F_{g,n} for one configuration (memoized)."""
+    """F_{g,n} for one of ``CONFIGS`` (memoized); any other config raises ``ValueError``."""
+    if CONFIGS.get(config.name) != config:
+        raise ValueError(f"config {config.name!r} is not LAPLACE, EUCLIDEAN or SYMPLECTIC")
     if not is_stable(g, n):
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
-    table = _tables.setdefault(config.name, {})
+    table = _tables[config.name]
     hit = table.get((g, n))
     if hit is not None:
         return hit

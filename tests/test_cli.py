@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ribbonvol import crosscheck, eo, transform
+from ribbonvol import clear_caches, crosscheck, eo, exactmath, transform
 from ribbonvol.cli import main
 from ribbonvol.exactmath import EvenLaurentPoly
 
@@ -268,6 +268,20 @@ def test_a_recursion_too_deep_is_an_error_not_a_traceback(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["poly", "L", "1", "2"], ["intersect", "2", "1"]])
+def test_an_engine_arithmetic_error_is_an_error_not_a_traceback(capsys, monkeypatch, argv):
+    # the divided-difference guard raises on an internal arithmetic bug
+    monkeypatch.setattr(exactmath, "_check_quotient", _broken)
+    clear_caches()
+    try:
+        assert main(argv) == 1
+    finally:
+        clear_caches()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: injected arithmetic failure\n"
 
 
 def test_a_reader_that_stops_early_ends_the_run_quietly():

@@ -68,7 +68,9 @@ def test_continuous_recursion_hand_value():
 
 
 def test_continuous_recursion_seeded():
-    for g, n in [(0, 4), (1, 2)]:
+    # (0, 4) and (1, 2) have no stable splitting; the other three check the
+    # splitting product of the kernel
+    for g, n in [(0, 4), (1, 2), (0, 5), (1, 3), (2, 2)]:
         results = verify_continuous_recursion(g, n, trials=5, seed=0)
         assert len(results) == 5
         assert all(ok for _, ok in results), (g, n)
@@ -77,6 +79,12 @@ def test_continuous_recursion_seeded():
 def test_continuous_recursion_other_seeds():
     for seed in (1, 2):
         assert all(ok for _, ok in verify_continuous_recursion(1, 2, 3, seed))
+
+
+def test_continuous_recursion_needs_a_trial():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            verify_continuous_recursion(1, 2, trials=trials)
 
 
 def test_chamber_points_are_in_the_chamber():

@@ -74,6 +74,13 @@ def test_verify_eo_full_grid_small():
             assert all(ok for _, ok in results), (name, g, n)
 
 
+def test_verify_eo_needs_a_trial():
+    # an empty result list would pass ``all`` while checking nothing
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            verify_eo(CURVE_LAPLACE, 1, 2, trials=trials)
+
+
 def test_spectator_sampling_is_deterministic():
     a = sample_spectators("laplace", 0, 4, 5, 0)
     b = sample_spectators("laplace", 0, 4, 5, 0)

@@ -261,6 +261,8 @@ def test_census_cache_with_wrong_keys_or_values_is_recomputed(tmp_path):
         {**good, "entries": [[p, 0.25] for p, _ in good["entries"]]},  # not exact text
         {**good, "entries": good["entries"][::-1]},
         {**good, "entries": good["entries"] + good["entries"][-1:]},
+        {**good, "entries": good["entries"][:-1]},  # a correct prefix of the table
+        {**good, "entries": []},
         {**good, "entries": None},
         [good],
     ]
@@ -269,6 +271,31 @@ def test_census_cache_with_wrong_keys_or_values_is_recomputed(tmp_path):
         assert census(1, 1, 4, cache_dir=str(tmp_path)).entries == expected, doc
         # the recomputed table replaced the bad file
         assert json.loads(target.read_text()) == good
+
+
+def test_census_cache_in_a_form_the_writer_never_produces_is_recomputed(tmp_path):
+    # each of these documents holds the right numbers, but not as written
+    expected = census(1, 1, 6).entries
+    target = tmp_path / "census-g1-n1-P6.json"
+    census(1, 1, 6, cache_dir=str(tmp_path))
+    good = json.loads(target.read_text())
+    assert good["entries"][-1] == [[6], "2/3"]
+
+    def last_value(text):
+        return {**good, "entries": good["entries"][:-1] + [[[6], text]]}
+
+    bad_docs = [
+        last_value("4/6"),
+        last_value("  4/6 "),
+        last_value(" 2/3"),
+        last_value("+2/3"),
+        {**good, "entries": [[p, "0"] if v == "0/1" else [p, v] for p, v in good["entries"]]},
+        {**good, "note": "an extra top-level key"},
+    ]
+    for doc in bad_docs:
+        target.write_text(json.dumps(doc))
+        assert census(1, 1, 6, cache_dir=str(tmp_path)).entries == expected, doc
+        assert json.loads(target.read_text()) == good, doc
 
 
 def test_census_cache_dir_that_is_a_file_is_rejected(tmp_path):

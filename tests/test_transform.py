@@ -252,7 +252,27 @@ def test_memo_tables_cannot_be_altered_through_a_result():
         poly.terms[(5,)] = 1
     with pytest.raises(AttributeError):
         poly.arity = 2
+    # re-running __init__ on the shared base case would corrupt every later table
+    with pytest.raises(AttributeError, match="immutable"):
+        poly.__init__(1, {(0,): 5})
     assert compute(LAPLACE, 1, 1) == golden_laplace()[(1, 1)]
+    clear_caches()
+    assert compute(LAPLACE, 1, 2) == golden_laplace()[(1, 2)]
+
+
+def test_compute_takes_only_the_registered_configurations():
+    clear_caches()
+    foreign = [
+        LAPLACE._replace(a_factor=F(1)),  # same name, other recursion
+        SYMPLECTIC._replace(name="mine"),  # same recursion, unknown name
+        EUCLIDEAN._replace(base_11=LAPLACE.base_11),
+    ]
+    for config in foreign:
+        with pytest.raises(ValueError, match="is not LAPLACE, EUCLIDEAN or SYMPLECTIC"):
+            compute(config, 1, 2)
+    # nothing was stored under the shared names, and the shared tables answer
+    assert cache_info()["engine"] == {name: 0 for name in CONFIGS}
+    assert compute(LAPLACE, 1, 2) == golden_laplace()[(1, 2)]
 
 
 def test_cache_control():
