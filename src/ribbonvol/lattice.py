@@ -42,11 +42,14 @@ Neither sum is looped over per entry; both are read from prefix moments.
   does one factor of every splitting product.  Those s are skipped
   without evaluating either factor.
 
-Every table entry is an exact Fraction, so the regrouped sums equal the
-direct loops term for term.  The memo table is keyed by (g, n, sorted
-perimeters); since N is symmetric, any entry may serve as the pivot, and
-we always rotate the largest one into the pivot slot (which also kills
-the third, negatively signed term).
+Every table holds Python integers: the numerators of its entries and of
+both prefix sums over one table denominator.  An entry whose denominator
+does not divide it raises it to their lcm and rescales the numerators in
+place.  So the regrouped sums equal the direct loops exactly, and a count
+becomes a Fraction only once, when it is memoized.  The memo table is
+keyed by (g, n, sorted perimeters); since N is symmetric, any entry may
+serve as the pivot, and we always rotate the largest one into the pivot
+slot (which also kills the third, negatively signed term).
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ import os
 import threading
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from ._version import __version__
@@ -65,39 +69,60 @@ _ZERO = Fraction(0)
 
 _memo: dict[tuple, Fraction] = {}
 # (g, n, spectators) -> moments of q -> q N_{g,n}(q, spectators)
-_columns: dict[tuple, tuple] = {}
+_columns: dict[tuple, list] = {}
 # (g, n, rest) -> moments of s -> D(s)
-_diagonals: dict[tuple, tuple] = {}
+_diagonals: dict[tuple, list] = {}
 # the tables grow by check-then-append: one recursion runs at a time
 _lock = threading.Lock()
 
 
-# A moment table is (term, a, A0, A1): the sequence a(k) = term(k),
+# A moment table is [term, a, A0, A1, den]: the sequence a(k) = term(k),
 # evaluated on demand, and its prefix sums A0[m] = sum_{k<m} a(k) and
-# A1[m] = sum_{k<m} k a(k).
+# A1[m] = sum_{k<m} k a(k), all three lists held as integer numerators over
+# the one denominator den.  term returns (numerator, denominator).
 
 
-def _moments(term: Callable[[int], Fraction]) -> tuple:
-    return term, [], [_ZERO], [_ZERO]
+def _moments(term: Callable[[int], tuple[int, int]]) -> list:
+    return [term, [], [0], [0], 1]
 
 
-def _extend(table: tuple, size: int) -> list[Fraction]:
-    """The list a(0) .. a(size - 1), or longer."""
+def _extend(table: list, size: int) -> list[int]:
+    """The numerators of a(0) .. a(size - 1), or more, over ``table[4]``.
+    A new denominator rescales all three lists in place, so read
+    ``table[4]`` after the last extension."""
     term, a = table[0], table[1]
     while len(a) < size:
-        a.append(term(len(a)))
+        num, den = term(len(a))
+        if num and table[4] % den:
+            scale = lcm(table[4], den) // table[4]
+            for lst in table[1:4]:
+                lst[:] = [x * scale for x in lst]
+            table[4] *= scale
+        a.append(num * (table[4] // den))
     return a
 
 
-def _weighted(table: tuple, P: int) -> Fraction:
-    """sum_{k<P} (P - k) a(k) = P A0[P] - A1[P]."""
+def _weighted(table: list, P: int) -> tuple[int, int]:
+    """sum_{k<P} (P - k) a(k) = P A0[P] - A1[P], as (numerator, denominator)."""
     a = _extend(table, P)
     a0, a1 = table[2], table[3]
     for k in range(len(a0) - 1, P):
-        v = a[k]
-        a0.append(a0[-1] + v if v else a0[-1])
-        a1.append(a1[-1] + k * v if v else a1[-1])
-    return P * a0[P] - a1[P]
+        a0.append(a0[-1] + a[k])
+        a1.append(a1[-1] + k * a[k])
+    return P * a0[P] - a1[P], table[4]
+
+
+def _fsum(terms) -> tuple[int, int]:
+    """Sum (numerator, denominator) pairs as integers over a running
+    common denominator, the lcm of those seen so far."""
+    num, den = 0, 1
+    for tn, td in terms:
+        if den % td:
+            m = lcm(den, td)
+            num *= m // den
+            den = m
+        num += tn * (den // td)
+    return num, den
 
 
 def _clear() -> None:
@@ -136,8 +161,8 @@ def _N(g: int, n: int, p: tuple) -> Fraction:
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    value = _rhs(g, n, p[0], p[1:]) / p[0]
-    _memo[key] = value
+    num, den = _rhs(g, n, p[0], p[1:])
+    _memo[key] = value = Fraction(num, den * p[0])
     return value
 
 
@@ -145,23 +170,24 @@ def _descending(extra: tuple, spectators: tuple) -> tuple:
     return tuple(sorted(extra + spectators, reverse=True))
 
 
-def _column(g: int, n: int, spectators: tuple) -> tuple:
+def _column(g: int, n: int, spectators: tuple) -> list:
     """Moments of q -> q N_{g,n}(q, spectators), spectators descending."""
     key = (g, n, spectators)
     table = _columns.get(key)
     if table is None:
         parity = sum(spectators) % 2
 
-        def term(q: int) -> Fraction:
+        def term(q: int) -> tuple[int, int]:
             if q == 0 or q % 2 != parity:
-                return _ZERO
-            return q * _N(g, n, _descending((q,), spectators))
+                return 0, 1
+            v = _N(g, n, _descending((q,), spectators))
+            return q * v.numerator, v.denominator
 
         table = _columns[key] = _moments(term)
     return table
 
 
-def _double_sum(g: int, n: int, rest: tuple, splittings) -> tuple:
+def _double_sum(g: int, n: int, rest: tuple, splittings) -> list:
     """Moments of the diagonal sums s -> D(s) for (g, n, rest), rest
     descending; ``splittings`` label the entries of rest by position."""
     key = (g, n, rest)
@@ -183,7 +209,8 @@ def _double_sum(g: int, n: int, rest: tuple, splittings) -> tuple:
         )
 
     def products(s: int):
-        """(numerator, denominator) of each term of D(s), zeros left out."""
+        """(numerator, denominator) pairs summing to D(s): one per genus
+        term, one per splitting pair."""
         if g >= 1:
             # X is symmetric in q_1, q_2: fold q_1 > q_2 onto q_1 < q_2
             for q1 in range(1, s // 2 + 1):
@@ -195,45 +222,38 @@ def _double_sum(g: int, n: int, rest: tuple, splittings) -> tuple:
         for left, right, first in pairs:
             a = _extend(left, s)
             b = _extend(right, s)
-            for q1 in range(first, s, 2):
-                x = a[q1]
-                if x:
-                    y = b[s - q1]
-                    if y:
-                        yield x.numerator * y.numerator, x.denominator * y.denominator
+            # sum over q_1 = first, first + 2, .. < s of a[q_1] b[s - q_1]
+            conv = sum(map(mul, a[first:s:2], b[s - first : 0 : -2]))
+            if conv:
+                yield conv, left[4] * right[4]
 
-    def term(s: int) -> Fraction:
+    def term(s: int) -> tuple[int, int]:
         if s % 2 != parity:
-            return _ZERO
-        # summed as integers over a running common denominator
-        num, den = 0, 1
-        for tn, td in products(s):
-            if den % td:
-                m = lcm(den, td)
-                num *= m // den
-                den = m
-            num += tn * (den // td)
-        return Fraction(num, den) if num else _ZERO
+            return 0, 1
+        return _fsum(products(s))
 
     table = _diagonals[key] = _moments(term)
     return table
 
 
-def _rhs(g: int, n: int, p1: int, rest: tuple) -> Fraction:
-    """Right-hand side of the recursion (not yet divided by ``p1``) for
-    an arbitrary pivot perimeter ``p1``; ``rest`` sorted descending."""
+def _rhs(g: int, n: int, p1: int, rest: tuple) -> tuple[int, int]:
+    """Right-hand side of the recursion, p1 N_{g,n}(p), as (numerator,
+    denominator) for an arbitrary pivot perimeter ``p1``; ``rest`` sorted
+    descending."""
     splittings = enumerate_splittings(g, range(len(rest)))
-    total = _ZERO
+    terms = []
     for idx, pj in enumerate(rest):
         column = _column(g, n - 1, rest[:idx] + rest[idx + 1 :])
-        total += _weighted(column, p1 + pj)
+        terms.append(_weighted(column, p1 + pj))
         if p1 > pj:
-            total += _weighted(column, p1 - pj)
+            terms.append(_weighted(column, p1 - pj))
         elif pj > p1:
-            total -= _weighted(column, pj - p1)
+            num, den = _weighted(column, pj - p1)
+            terms.append((-num, den))
     if g >= 1 or splittings:
-        total += _weighted(_double_sum(g, n, rest, splittings), p1)
-    return total / 2
+        terms.append(_weighted(_double_sum(g, n, rest, splittings), p1))
+    num, den = _fsum(terms)
+    return num, 2 * den
 
 
 def recursion_rhs(g: int, n: int, p: Sequence[int], pivot: int) -> Fraction:
@@ -252,7 +272,8 @@ def recursion_rhs(g: int, n: int, p: Sequence[int], pivot: int) -> Fraction:
         return _ZERO
     rest = tuple(sorted(p[:pivot] + p[pivot + 1 :], reverse=True))
     with _lock:
-        return _rhs(g, n, p[pivot], rest) / p[pivot]
+        num, den = _rhs(g, n, p[pivot], rest)
+    return Fraction(num, den * p[pivot])
 
 
 def oracle_n11(p: int) -> Fraction:
@@ -370,8 +391,11 @@ def _load_cache(path, g, n, max_sum):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         vectors = perimeter_vectors(n, max_sum, ascending=True)
-        entries = {p: Fraction(value) for p, (_, value) in zip(vectors, doc["entries"], strict=True)}
-    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError):
+        entries = {}
+        for p, (_, value) in zip(vectors, doc["entries"], strict=True):
+            num, den = value.split("/")
+            entries[p] = Fraction(int(num), int(den))
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError):
         return None
     table = CountTable(g, n, max_sum, entries)
     return table if table.to_json_dict() == doc else None

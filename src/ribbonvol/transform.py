@@ -112,8 +112,9 @@ _tables: dict[str, dict[tuple[int, int], EvenLaurentPoly]] = {name: {} for name 
 
 def compute(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
     """F_{g,n} for one of ``CONFIGS`` (memoized); any other config raises ``ValueError``."""
-    if CONFIGS.get(config.name) != config:
-        raise ValueError(f"config {config.name!r} is not LAPLACE, EUCLIDEAN or SYMPLECTIC")
+    if not isinstance(config, RecursionConfig) or CONFIGS.get(config.name) != config:
+        name = getattr(config, "name", config)
+        raise ValueError(f"config {name!r} is not LAPLACE, EUCLIDEAN or SYMPLECTIC")
     if not is_stable(g, n):
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
     table = _tables[config.name]

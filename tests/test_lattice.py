@@ -77,9 +77,14 @@ def _direct_rhs(g, n, p1, rest):
     return total / 2
 
 
-@pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)])
+@pytest.mark.parametrize(
+    "g,n", [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1), (2, 2), (3, 1), (1, 4), (0, 6)]
+)
 def test_moment_sums_equal_the_direct_loops(g, n):
-    for p in perimeter_vectors(n, 16, ascending=True):
+    # (2, 2) and (3, 1) rescale their tables up to a denominator of 480; the
+    # direct loops of the wider (1, 4) and (0, 6) are kept fast at sums <= 12
+    max_sum = 12 if (g, n) in ((1, 4), (0, 6)) else 16
+    for p in perimeter_vectors(n, max_sum, ascending=True):
         expected = _direct_count(g, n, p)
         assert count(g, n, p) == expected, p
         if (g, n) not in ((0, 3), (1, 1)):
@@ -97,6 +102,23 @@ def test_moment_tables_answer_the_same_in_either_order():
     # the diagonal table of (2, 2, (4,)) grown past p_1 = 6 first
     count(2, 2, (20, 4))
     assert {recursion_rhs(2, 2, (6, 4), pivot) for pivot in (0, 1)} == {cold}
+    # the same after every (3, 2) table has been grown, and rescaled, well past
+    # what (16, 12) reads
+    clear_caches()
+    cold = count(3, 2, (16, 12))
+    clear_caches()
+    count(3, 2, (28, 24))
+    assert count(3, 2, (16, 12)) == cold
+    assert {recursion_rhs(3, 2, (16, 12), pivot) for pivot in (0, 1)} == {cold}
+
+
+def test_deep_values_at_rescaled_tables():
+    # computed by summing every moment as a Fraction
+    clear_caches()
+    assert count(4, 1, (24,)) == F(6770614565, 12)
+    assert count(3, 2, (16, 12)) == F(1187977707, 4)
+    assert count(2, 3, (12, 10, 10)) == 28023716
+    assert count(3, 1, (28,)) == F(2112453915, 14)
 
 
 def test_base_cases():
@@ -259,6 +281,8 @@ def test_census_cache_with_wrong_keys_or_values_is_recomputed(tmp_path):
         {**good, "entries": [[p, "oops"] for p, _ in good["entries"]]},  # not a Fraction
         {**good, "entries": [[p, "1/0"] for p, _ in good["entries"]]},
         {**good, "entries": [[p, 0.25] for p, _ in good["entries"]]},  # not exact text
+        {**good, "entries": [[p, None] for p, _ in good["entries"]]},
+        {**good, "entries": [[p, "1/2/3"] for p, _ in good["entries"]]},
         {**good, "entries": good["entries"][::-1]},
         {**good, "entries": good["entries"] + good["entries"][-1:]},
         {**good, "entries": good["entries"][:-1]},  # a correct prefix of the table

@@ -266,6 +266,8 @@ def test_compute_takes_only_the_registered_configurations():
         LAPLACE._replace(a_factor=F(1)),  # same name, other recursion
         SYMPLECTIC._replace(name="mine"),  # same recursion, unknown name
         EUCLIDEAN._replace(base_11=LAPLACE.base_11),
+        "laplace",  # a name, not a configuration
+        tuple(LAPLACE),  # the same fields, not a RecursionConfig
     ]
     for config in foreign:
         with pytest.raises(ValueError, match="is not LAPLACE, EUCLIDEAN or SYMPLECTIC"):
