@@ -302,6 +302,9 @@ def main(argv=None) -> int:
         # the recursions go one call deeper per step of g or n
         print(f"error: too deep a recursion for this interpreter ({exc})", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory for this computation", file=sys.stderr)
+        return 1
     except ArithmeticError as exc:  # an exactness check failed
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,8 +35,9 @@ The whole computation is exact and even in t1, so it is done in
 added in closed form, which cancels their odd parts, and every residue is
 brought over the common denominator D(u) = prod_j (a_j^2 - u)^2.  The
 summed numerator must divide by D to an even Laurent polynomial, or an
-ArithmeticError is raised.  ``verify_eo`` compares that polynomial
-against the recursion engine's output at seeded random spectator values.
+ArithmeticError is raised; that long division uses the public operations
+of ``EvenLaurentPoly`` alone.  ``verify_eo`` compares the quotient against
+the recursion engine's output at seeded random spectator values.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .exactmath import EvenLaurentPoly, _accumulate
+from .exactmath import EvenLaurentPoly
 from .surface import is_stable
 from .transform import EUCLIDEAN, LAPLACE, SYMPLECTIC, RecursionConfig, compute
 
@@ -181,27 +182,22 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
 
 
 def _laurent_divide(num: EvenLaurentPoly, den: EvenLaurentPoly) -> EvenLaurentPoly:
-    """Exact division of one-variable even Laurent polynomials; raises if
-    the quotient is not itself a Laurent polynomial."""
+    """Exact long division of one-variable even Laurent polynomials; raises
+    if the quotient is not itself a Laurent polynomial."""
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    if not num:
-        return EvenLaurentPoly.zero(1)
-    (nmin,), (dmin,) = min(num.terms), min(den.terms)
-    rem = {e - nmin: c for (e,), c in num.terms.items()}
-    div = {e - dmin: c for (e,), c in den.terms.items()}
-    dtop = max(div)
-    lead = div[dtop]
-    quotient = {}
-    while rem:
-        rtop = max(rem)
-        if rtop < dtop:
+    (dtop,), lead = max(den.terms.items())
+    # a Laurent quotient has no term below min(num) - min(den)
+    (nmin,), (dmin,) = min(num.terms, default=(0,)), min(den.terms)
+    per_top = EvenLaurentPoly.monomial(1, (-dtop,), 1 / lead)
+    steps = []
+    while num:
+        step = num.leading_part() * per_top
+        if step.max_total_degree() < nmin - dmin:
             raise ArithmeticError("residue sum did not reduce to a Laurent polynomial")
-        c = rem[rtop] / lead
-        quotient[(rtop - dtop + nmin - dmin,)] = c
-        for e, v in div.items():
-            _accumulate(rem, e + rtop - dtop, -c * v)
-    return EvenLaurentPoly(1, quotient)
+        steps.append(step)
+        num = num - step * den
+    return EvenLaurentPoly.sum(1, steps)
 
 
 def residue_sum(curve: SpectralCurveSpec, g: int, n: int,

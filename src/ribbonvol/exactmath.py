@@ -20,7 +20,8 @@ form.  Every ``EvenLaurentPoly`` operation works on the integers alone --
 no gcd per add or multiply, one gcd pass per result -- and stores its
 result through the private ``_trusted`` constructor unchecked, after
 ``_canonical`` has dropped what cancelled and divided out the common
-factor.
+factor.  The divided-difference guard and the residue form's exact
+division are written with these operations, not with dicts of their own.
 
 Immutability is enforced, not a convention: attributes cannot be rebound,
 and ``terms`` is a read-only ``types.MappingProxyType`` of exponents to
@@ -60,16 +61,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def _accumulate(out: dict, key, c: Fraction) -> None:
-    """Add ``c`` to ``out[key]``; a key whose coefficient is zero is dropped."""
-    s = out.get(key)
-    s = c if s is None else s + c
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
 
 
 def _canonical(arity: int, num: dict, den: int) -> "EvenLaurentPoly":
@@ -141,7 +132,9 @@ class EvenLaurentPoly:
                 raise ValueError(f"exponent vector {key} does not match arity {arity}")
             if not all(isinstance(e, int) and not isinstance(e, bool) for e in key):
                 raise ValueError(f"exponents must be integers: {key}")
-            _accumulate(clean, key, _as_fraction(coeff))
+            coeff = _as_fraction(coeff)
+            clean[key] = clean[key] + coeff if key in clean else coeff
+        clean = {e: c for e, c in clean.items() if c}
         # reduced fractions over the lcm of their denominators: the numerators
         # and the lcm have no common factor, so the result is canonical
         den = lcm(*(c.denominator for c in clean.values()))
@@ -422,9 +415,9 @@ def divided_difference(f: EvenLaurentPoly, slot_a: int, slot_b: int) -> EvenLaur
 
     ``f`` must not involve ``slot_b``; the result is an even Laurent
     polynomial of the same arity using both slots.  Division is performed
-    by synthetic expansion per monomial, then checked against ``f`` by
-    ``_check_quotient`` -- a nonzero remainder means an internal
-    arithmetic bug and aborts.
+    by synthetic expansion per monomial; ``_check_quotient`` then multiplies
+    back with the ring operations, and a quotient that does not give
+    ``f - f|_{a<->b}`` is an internal arithmetic bug: ``ArithmeticError``.
     """
     f._check_var(slot_a)
     f._check_var(slot_b)
@@ -456,35 +449,13 @@ def divided_difference(f: EvenLaurentPoly, slot_a: int, slot_b: int) -> EvenLaur
 
 
 def _check_quotient(f: EvenLaurentPoly, q: EvenLaurentPoly, slot_a: int, slot_b: int) -> None:
-    """Raise ``ArithmeticError`` unless ``(u_a - u_b) q == f - f|_{a<->b}``.
-
-    The residual ``(u_a - u_b) q - (f - f|_{a<->b})`` is accumulated as
-    integer numerators over the common denominator of ``f`` and ``q`` in
-    a single dict, which must come out all zero.
-    """
-    den = lcm(f._den, q._den)
-    scale_f, scale_q = den // f._den, den // q._den
-    residual: dict[Exponents, int] = {}
-    get = residual.get
-    for exps, c in q._num.items():
-        c *= scale_q
-        key = list(exps)
-        key[slot_a] += 1
-        up = tuple(key)
-        residual[up] = get(up, 0) + c
-        key[slot_a] -= 1
-        key[slot_b] += 1
-        across = tuple(key)
-        residual[across] = get(across, 0) - c
-    for exps, c in f._num.items():
-        if exps[slot_a] != exps[slot_b]:  # a term the swap fixes cancels in f - f|swap
-            c *= scale_f
-            residual[exps] = get(exps, 0) - c
-            swapped = list(exps)
-            swapped[slot_a], swapped[slot_b] = exps[slot_b], exps[slot_a]
-            swapped = tuple(swapped)
-            residual[swapped] = get(swapped, 0) + c
-    if any(residual.values()):
+    """Raise ``ArithmeticError`` unless ``(u_a - u_b) q == f - f|_{a<->b}``,
+    checked with the ring operations themselves."""
+    arity = f.arity
+    u_a = EvenLaurentPoly.monomial(arity, [int(i == slot_a) for i in range(arity)])
+    u_b = EvenLaurentPoly.monomial(arity, [int(i == slot_b) for i in range(arity)])
+    swap = {i: i for i in range(arity)} | {slot_a: slot_b, slot_b: slot_a}
+    if (u_a - u_b) * q != f - f.substitute_slots(swap, arity):
         raise ArithmeticError("divided difference left a nonzero remainder")
 
 

@@ -150,8 +150,10 @@ def count(g: int, n: int, p: Sequence[int]) -> Fraction:
 
 
 def _N(g: int, n: int, p: tuple) -> Fraction:
-    # p sorted descending, entries >= 1
-    if sum(p) % 2:
+    # p sorted descending, entries >= 1; a graph has at least 2g - 1 + n
+    # edges, each counted twice in sum(p)
+    total = sum(p)
+    if total % 2 or total < 4 * g - 2 + 2 * n:
         return _ZERO
     if (g, n) == (0, 3):
         return Fraction(1)

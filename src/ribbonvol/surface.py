@@ -7,9 +7,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 
 def is_stable(g: int, n: int) -> bool:
-    """g >= 0, n >= 0 and 2g - 2 + n > 0: the domain of every recursion in
-    this package, and the one check every entry point makes."""
-    return g >= 0 and n >= 0 and 2 * g - 2 + n > 0
+    """g >= 0, n >= 1 and 2g - 2 + n > 0: the domain of every recursion in
+    this package (a closed surface has no boundary to carry a perimeter or
+    a variable), and the one check every entry point makes."""
+    return g >= 0 and n >= 1 and 2 * g - 2 + n > 0
 
 
 def stable_types(max_complexity: int) -> list[tuple[int, int]]:

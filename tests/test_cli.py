@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ribbonvol import clear_caches, crosscheck, eo, exactmath, transform
+from ribbonvol import clear_caches, crosscheck, eo, exactmath, lattice, transform
 from ribbonvol.cli import main
 from ribbonvol.exactmath import EvenLaurentPoly
 
@@ -132,6 +132,25 @@ def test_negative_genus_or_boundary_count_is_rejected(capsys, argv):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert "not a stable surface type" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "L", "2", "0"],
+        ["poly", "VE", "2", "0"],
+        ["intersect", "3", "0"],
+        ["count", "--gn", "2,0", "--max-sum", "3"],
+    ],
+)
+def test_a_closed_surface_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "not a stable surface type" in captured.err
+    assert captured.err.startswith("usage: ")
     assert captured.out == ""
 
 
@@ -282,6 +301,27 @@ def test_an_engine_arithmetic_error_is_an_error_not_a_traceback(capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: injected arithmetic failure\n"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["poly", "VE", "1", "1"], transform, "compute"),
+        (["count", "--gn", "1,2", "--max-sum", "6"], lattice, "census"),
+    ],
+)
+def test_running_out_of_memory_is_an_error_not_a_traceback(
+    capsys, monkeypatch, argv, module, name
+):
+    monkeypatch.setattr(module, name, _out_of_memory)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory for this computation\n"
 
 
 def test_a_reader_that_stops_early_ends_the_run_quietly():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,29 @@ def test_exact_division():
         _laurent_divide(poly({2: 1, 0: 1}), poly({1: 1, 0: -1}))
     with pytest.raises(ZeroDivisionError):
         _laurent_divide(poly({0: 1}), poly({}))
+
+
+def test_exact_division_round_trip():
+    rng = random.Random(1101)
+
+    def draw(size):
+        # mixed-sign exponents and coefficients; repeated exponents add up
+        terms = {}
+        for _ in range(size):
+            e = (rng.randint(-4, 4),)
+            c = F(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 6))
+            terms[e] = terms.get(e, 0) + c
+        return EvenLaurentPoly(1, terms)
+
+    for _ in range(200):
+        q = draw(rng.randint(1, 5))
+        d = draw(rng.randint(2, 4))
+        while len(d.terms) < 2:  # a monomial divides every monomial remainder
+            d = draw(rng.randint(2, 4))
+        assert _laurent_divide(q * d, d) == q
+        remainder = EvenLaurentPoly.monomial(1, (rng.randint(-6, 6),), F(rng.randint(1, 9), 7))
+        with pytest.raises(ArithmeticError):
+            _laurent_divide(q * d + remainder, d)
 
 
 # an oracle for residue_sum: the integrand on Fraction dicts in t, with the

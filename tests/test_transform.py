@@ -172,8 +172,9 @@ def test_symmetry_under_slot_permutations():
 
 def test_inversion_symmetry():
     # t_j -> 1/t_j times prod t_j^2 gives (-1)^n times the polynomial back;
-    # on exponent vectors that is a_j -> -1 - a_j
-    for g, n in [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (1, 3)]:
+    # on exponent vectors that is a_j -> -1 - a_j, for every table up to
+    # complexity 6
+    for g, n in stable_types(6):
         poly = compute(LAPLACE, g, n)
         flipped = EvenLaurentPoly(
             n,
