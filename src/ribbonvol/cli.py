@@ -13,8 +13,8 @@ driven by the --seed value.  Exit status is 0 on success, 1 when a
 verification or computation fails (or the reader of the output goes
 away), 2 on bad usage; ``main`` reports a failed computation on one line.
 
-Each subcommand imports only the modules it uses, so start-up is paid for
-the work asked for and no more.
+Each subcommand imports only the modules it uses, and ``json`` only for
+JSON output, so start-up is paid for the work asked for and no more.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def _poly_text(poly) -> str:
 
 
 def _cmd_count(args, parser) -> int:
-    import json
     from .lattice import census, count
 
     try:
@@ -82,6 +81,7 @@ def _cmd_count(args, parser) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         if args.format == "json":
+            import json
             doc = {"g": g, "n": n, "p": list(p), "value": _fraction_text(value)}
             print(json.dumps(doc, sort_keys=True))
         else:
@@ -97,6 +97,7 @@ def _cmd_count(args, parser) -> int:
     if args.format == "csv":
         sys.stdout.write(table.csv_text())
     elif args.format == "json":
+        import json
         print(json.dumps(table.to_json_dict(), indent=2, sort_keys=True))
     else:
         for p, value in table.rows():
@@ -105,7 +106,6 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_poly(args, parser) -> int:
-    import json
     from .transform import CONFIGS, compute
 
     config = CONFIGS[_POLY_KINDS[args.kind]]
@@ -113,6 +113,7 @@ def _cmd_poly(args, parser) -> int:
         parser.error(f"({args.g}, {args.n}) is not a stable surface type")
     poly = compute(config, args.g, args.n)
     if args.format == "json":
+        import json
         doc = poly.to_json_dict()
         doc["kind"] = args.kind
         doc["g"], doc["n"] = args.g, args.n
@@ -181,8 +182,6 @@ def _verify_cases(suite: str, level: int | None, seed: int, trials: int):
 
 
 def _cmd_verify(args, parser) -> int:
-    import json
-
     # a suite that checks nothing must not report success
     if args.trials < 1:
         parser.error("--trials must be positive")
@@ -204,6 +203,7 @@ def _cmd_verify(args, parser) -> int:
             if not ok:
                 failures += 1
             if args.format == "jsonl":
+                import json
                 doc = {"suite": suite_name, "case": case, "ok": ok, "detail": detail}
                 print(json.dumps(doc, sort_keys=True))
             else:

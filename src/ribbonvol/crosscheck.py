@@ -172,10 +172,12 @@ def verify_continuous_recursion(
     g: int, n: int, trials: int = 5, seed: int = 0
 ) -> list[tuple[tuple[Fraction, ...], bool]]:
     """Compare p_1 v_{g,n}(p) against the integral recursion at seeded
-    chamber points; returns one (point, matched) entry per trial, and
-    raises ``ValueError`` for ``trials < 1``, which would check nothing."""
+    chamber points; returns one (point, matched) entry per trial, and raises
+    ``ValueError`` for ``trials < 1``, which would check nothing, or n < 2."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if n < 2:  # the chamber needs a p_1 above other perimeters
+        raise ValueError("need n >= 2 perimeter values")
     volume = perimeter_volume(g, n)
     results = []
     for point in sample_chamber_points(g, n, trials, seed):

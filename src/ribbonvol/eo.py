@@ -31,19 +31,23 @@ with a curve-dependent weight w, plus the diagonal F_{g-1,n+1}(t, t, ..)
 product enters with sign -1, the pullback of ds along the involution.
 
 The whole computation is exact and even in t1, so it is done in
-``EvenLaurentPoly`` of u = t1^2 alone.  The residues at t1 and -t1 are
-added in closed form, which cancels their odd parts, and every residue is
-brought over the common denominator D(u) = prod_j (a_j^2 - u)^2.  The
-summed numerator must divide by D to an even Laurent polynomial, or an
-ArithmeticError is raised; that long division uses the public operations
-of ``EvenLaurentPoly`` alone.  ``verify_eo`` compares the quotient against
-the recursion engine's output at seeded random spectator values.
+``EvenLaurentPoly`` of u = t1^2 alone.  Residues are linear in the
+numerator, so the pieces that share a pole set are summed before any
+residue is taken.  The residues at t1 and -t1 are added in closed form,
+which cancels their odd parts, and every residue is brought over the one
+common denominator D(u) = prod_j (a_j^2 - u)^2.  The summed numerator must
+divide by D to an even Laurent polynomial, or an ArithmeticError is
+raised: that long division, on the public operations of ``EvenLaurentPoly``
+alone, is the check that the residues pair up.  ``verify_eo`` compares the
+quotient against the recursion engine's output at seeded random spectator
+values, and checks a repeated draw once.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import EvenLaurentPoly
@@ -136,12 +140,6 @@ def _extended_splittings(g: int, m: int):
                 yield g1, part1, g - g1, part2
 
 
-def _stable_part(config: RecursionConfig, gp: int, labels: tuple[int, ...],
-                 values: Sequence[Fraction]) -> EvenLaurentPoly:
-    poly = compute(config, gp, len(labels) + 1)
-    return poly.partial_evaluate({i + 1: values[j] for i, j in enumerate(labels)})
-
-
 def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
                     spectators: Sequence[Fraction]) -> list[Term]:
     """The additive pieces of omega(t) for F_{g,n}(t1, spectators)."""
@@ -154,27 +152,28 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
         raise ValueError("spectator values must be nonzero with distinct magnitudes")
     w = curve.pair_weight
 
-    bracket: list[tuple[EvenLaurentPoly, tuple[Fraction, ...]]] = []
+    # the kernel's numerator is -t kappa_hat(t), less the factor t every piece
+    # keeps; its sign cancels the sign -1 of every bracket product
+    kappa_hat = curve.kappa_hat
+    terms = []
     if g >= 1:
         if is_stable(g - 1, n + 1):
             q = compute(curve.config, g - 1, n + 1)
             q = q.partial_evaluate({i + 2: a[i] for i in range(n - 1)})
-            bracket.append((-q.diagonal_merge(0, 1), ()))
+            terms.append(Term(q.diagonal_merge(0, 1) * kappa_hat, ()))
         else:  # (g-1, n+1) == (0, 2): the pair kernel at the diagonal
-            bracket.append((EvenLaurentPoly.monomial(1, (-1,), -w / 4), ()))
+            terms.append(Term(EvenLaurentPoly.monomial(1, (-1,), w / 4) * kappa_hat, ()))
     for g1, part1, g2, part2 in _extended_splittings(g, n - 1):
-        num = EvenLaurentPoly.constant(1, -1)
-        poles: list[Fraction] = []
+        num, scale, poles = kappa_hat, Fraction(1), []
         for gp, labels, sign in ((g1, part1, 1), (g2, part2, -1)):
             if gp == 0 and len(labels) == 1:
-                num = num * w
+                scale *= w
                 poles.append(-sign * a[labels[0]])
             else:
-                num = num * _stable_part(curve.config, gp, labels, a)
-        bracket.append((num, tuple(sorted(poles))))
-
-    # the kernel's numerator -t kappa_hat(t), less the factor t every piece keeps
-    return [Term(num=num * -curve.kappa_hat, poles=poles) for num, poles in bracket]
+                part = compute(curve.config, gp, len(labels) + 1)
+                num = num * part.partial_evaluate({i + 1: a[j] for i, j in enumerate(labels)})
+        terms.append(Term(num * scale, tuple(sorted(poles))))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -200,53 +199,65 @@ def _laurent_divide(num: EvenLaurentPoly, den: EvenLaurentPoly) -> EvenLaurentPo
     return EvenLaurentPoly.sum(1, steps)
 
 
+def _double_pole(num: EvenLaurentPoly, r: Fraction,
+                 poles: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
+    """(c0, c1) with (c0 + c1 u) / (r^2 - u)^2 the residue at the double pole
+    t = r of N(t) / ((t^2 - u) Q(t)), where N(t) = t num(t^2) and Q(t) is the
+    product of (t - s)^2 over the other roots s of ``poles``."""
+    # the residue is ((N'(r) - N(r) Q'(r)/Q(r)) (r^2 - u) - 2 r N(r)) / (Q(r) (r^2 - u)^2)
+    q, slope = Fraction(1), Fraction(0)
+    for s in poles:
+        if s != r:
+            q *= (r - s) ** 2
+            slope += 2 / (r - s)
+    n_r = r * num.evaluate((r,))
+    # N'(t) = [(1 + 2u d/du) num](t^2)
+    outer = (num.t_derivative(0).evaluate((r,)) - n_r * slope) / q
+    return outer * r * r - 2 * r * n_r / q, -outer
+
+
 def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
                 spectators: Sequence[Fraction]) -> EvenLaurentPoly:
     """Minus the residues of omega(t) over t = +-t1 and t = +-a_j, as an
     even Laurent polynomial in the live variable.
 
-    Everything is a polynomial in u = t1^2.  Each residue's denominator
-    divides D(u) = prod_j (a_j^2 - u)^2, so each is brought over D by the
-    factors it lacks, and the numerators are summed and divided by D once.
+    Everything is a polynomial in u = t1^2.  The pieces that share a pole set
+    R are summed to one B(u) first.  Its paired simple poles at +-t1 give
+    B(u) E_R(u) / prod_(r in R) (r^2 - u)^2, with E_R(t1^2) the even part of
+    prod_r (t1 + r)^2, and its double poles give two scalars per r^2.  The
+    numerators over the same factors of D(u) = prod_j (a_j^2 - u)^2 are summed,
+    each sum is multiplied by the factors it lacks, and the total by 1/D once.
     """
-    u = EvenLaurentPoly.monomial(1, (1,))
-    # root^2 -> (root^2 - u)^2, one factor of D per spectator
-    factors = {}
-    for a in map(Fraction, spectators):
-        factors[a * a] = (u - EvenLaurentPoly.constant(1, a * a)) ** 2
-
-    def over_d(num: EvenLaurentPoly, present) -> EvenLaurentPoly:
+    by_poles: dict[tuple[Fraction, ...], list[EvenLaurentPoly]] = {}
+    for term in integrand_terms(curve, g, n, spectators):
+        by_poles.setdefault(term.poles, []).append(term.num)
+    groups: dict[frozenset, list[EvenLaurentPoly]] = {}  # factors of D present -> numerators
+    doubles: dict[Fraction, tuple[Fraction, Fraction]] = {}  # r^2 -> (c0, c1)
+    for poles, nums in by_poles.items():
+        num = EvenLaurentPoly.sum(1, nums)
+        coeffs = [Fraction(1)]  # of prod_r (t1 + r)^2, lowest power of t1 first
+        for r in poles:
+            for _ in range(2):
+                coeffs = [r * c + below for c, below in zip(coeffs + [0], [0] + coeffs)]
+        even = EvenLaurentPoly(1, {(k,): c for k, c in enumerate(coeffs[::2])})
+        groups.setdefault(frozenset(r * r for r in poles), []).append(num * even)
+        for r in poles:
+            c0, c1 = _double_pole(num, r, poles)
+            b0, b1 = doubles.get(r * r, (0, 0))
+            doubles[r * r] = (b0 + c0, b1 + c1)
+    for square, (c0, c1) in doubles.items():
+        groups.setdefault(frozenset((square,)), []).append(EvenLaurentPoly(1, {(0,): c0, (1,): c1}))
+    # one factor (a^2 - u)^2 of D per spectator
+    factors = {s: EvenLaurentPoly(1, {(0,): s * s, (1,): -2 * s, (2,): 1})
+               for s in (Fraction(a) ** 2 for a in spectators)}
+    parts = []
+    for present, nums in groups.items():
+        part = EvenLaurentPoly.sum(1, nums)
         for square, factor in factors.items():
             if square not in present:
-                num = num * factor
-        return num
-
-    parts = []
-    for term in integrand_terms(curve, g, n, spectators):
-        if not term.num:
-            continue
-        # the simple poles at +-t1, paired: B(u) E(u) / prod_r (r^2 - u)^2 with
-        # E(t1^2) the even part of prod_r (t1 + r)^2, grown as (E + t1 O)(t1 + r)
-        even, odd = EvenLaurentPoly.constant(1, 1), EvenLaurentPoly.zero(1)
-        for r in term.poles:
-            for _ in range(2):
-                even, odd = r * even + u * odd, even + r * odd
-        parts.append(over_d(term.num * even, {r * r for r in term.poles}))
-        # the double pole at t = r of N(t) / ((t^2 - u) Q(t)), with N(t) = t B(t^2)
-        # and Q(t) = prod_(other roots s) (t - s)^2, has residue
-        # ((N'(r) - N(r) Q'(r)/Q(r)) (r^2 - u) - 2 r N(r)) / (Q(r) (r^2 - u)^2)
-        derivative = term.num.t_derivative(0)  # N'(t) = [(1 + 2u d/du) B](t^2)
-        for r in term.poles:
-            q, slope = Fraction(1), Fraction(0)
-            for s in term.poles:
-                if s != r:
-                    q *= (r - s) ** 2
-                    slope += 2 / (r - s)
-            n_r = r * term.num.evaluate((r,))
-            outer = (derivative.evaluate((r,)) - n_r * slope) / q
-            num = EvenLaurentPoly(1, {(0,): outer * r * r - 2 * r * n_r / q, (1,): -outer})
-            parts.append(over_d(num, {r * r}))
-    d = over_d(EvenLaurentPoly.constant(1, 1), ())
+                part = part * factor
+        parts.append(part)
+    d = prod(factors.values(), start=EvenLaurentPoly.constant(1, 1))
     return _laurent_divide(-EvenLaurentPoly.sum(1, parts), d)
 
 
@@ -269,9 +280,10 @@ def verify_eo(curve: SpectralCurveSpec, g: int, n: int, trials: int = 5,
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     reference = compute(curve.config, g, n)
-    results = []
-    for spect in sample_spectators(curve.name, g, n, trials, seed):
-        target = reference.partial_evaluate({j + 1: spect[j] for j in range(n - 1)})
-        got = residue_sum(curve, g, n, spect)
-        results.append((spect, got == target))
-    return results
+    draws = sample_spectators(curve.name, g, n, trials, seed)
+    verdicts = {}  # a repeated draw is checked once
+    for spect in draws:
+        if spect not in verdicts:
+            target = reference.partial_evaluate({j + 1: spect[j] for j in range(n - 1)})
+            verdicts[spect] = residue_sum(curve, g, n, spect) == target
+    return [(spect, verdicts[spect]) for spect in draws]

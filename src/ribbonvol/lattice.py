@@ -54,7 +54,6 @@ slot (which also kills the third, negatively signed term).
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from fractions import Fraction
@@ -371,6 +370,7 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
 def _write_cache(path: str, table: CountTable) -> None:
     """Write through a private temporary file, so that concurrent writers
     of one table never share a partial file, then move it into place."""
+    import json
     import tempfile
 
     directory = os.path.dirname(path)
@@ -389,6 +389,7 @@ def _load_cache(path, g, n, max_sum):
     """The table in ``path``, or None unless its values, one per vector of the table in order,
     build a table whose ``to_json_dict()`` equals the decoded file.  The test is ``==``, so a
     JSON number spelled ``true`` or ``6.0`` where the writer puts ``1`` or ``6`` still passes."""
+    import json
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)

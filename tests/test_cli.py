@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -363,3 +364,87 @@ def test_version(capsys):
     assert err.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("ribbonvol ")
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz of the whole command line: every subcommand and flag, with
+# malformed numbers and lists, n = 0, huge g and bad cache directories.  A
+# number that asks for real work (a large perimeter, --max-sum or --level, or
+# a surface type of complexity past 4) is a request, not bad input, and stays
+# out of the draw.
+
+HUGE = "1000000000000000000"  # past any address space: a table of that size fails at once
+FUZZ_TYPES = [
+    ("0", "3"), ("1", "1"), ("0", "4"), ("1", "2"), ("2", "1"), ("0", "5"), ("1", "3"),
+    ("0", "0"), ("2", "0"), ("0", "2"), ("1", "0"), ("-1", "3"), ("1", "-1"),
+    (HUGE, "1"), (HUGE, "2"), ("0", HUGE), (HUGE, HUGE),
+    ("x", "1"), ("1", ""), ("1.5", "2"), (" 1", "1"), ("+0", "3"), ("0x1", "1"),
+]
+FUZZ_PERIMETERS = ["2", "6", "1,1", "2,2", "3,1", "1,2,3", "2,2,2,2", "1,1,1,1,2",
+                   "0", "-2", "2,,2", "a", "", "1.5", ",", "2,2,0"]
+FUZZ_SMALL = ["0", "1", "2", "3", "4", "6", "-1", "x", "", "1.5", "1e3", " 2"]
+
+
+def _fuzz_argv(rng, cache_dirs):
+    def maybe(argv, flag, values, p=0.7):
+        if rng.random() < p:
+            argv += [flag, rng.choice(values)]
+
+    g, n = rng.choice(FUZZ_TYPES)
+    command = rng.choice(["count", "count", "poly", "verify", "verify", "intersect", "top"])
+    if command == "count":
+        argv = ["count"]
+        maybe(argv, "--gn", [f"{g},{n}", f"{g},{n}", "1", "1,2,3", ","], p=0.9)
+        maybe(argv, "--p", FUZZ_PERIMETERS)
+        maybe(argv, "--max-sum", FUZZ_SMALL, p=0.5)
+        maybe(argv, "--format", ["text", "json", "csv", "xml"], p=0.5)
+        maybe(argv, "--cache-dir", cache_dirs, p=0.4)
+    elif command == "poly":
+        argv = ["poly", rng.choice(["L", "VE", "VS", "V"]), g, n]
+        maybe(argv, "--format", ["text", "json", "latex", "csv"], p=0.5)
+    elif command == "intersect":
+        argv = ["intersect", g, n]
+    elif command == "verify":
+        argv = ["verify"]
+        suites = ["golden", "ratio", "leading", "series", "eo", "symplectic", "all", "none"]
+        maybe(argv, "--suite", suites, p=0.8)
+        maybe(argv, "--seed", ["0", "1", "-3", HUGE, "x"], p=0.5)
+        maybe(argv, "--level", ["1", "2", "3", "4", "0", "-1", "x"], p=0.6)
+        maybe(argv, "--trials", ["1", "1", "2", "0", "-1", "x"], p=0.9)
+        maybe(argv, "--format", ["text", "jsonl", "xml"], p=0.5)
+    else:
+        argv = rng.choice([[], ["--version"], ["--help"], ["frobnicate"], ["count", "--help"]])
+    if rng.random() < 0.1:  # a stray word or flag anywhere
+        argv.insert(rng.randint(0, len(argv)), rng.choice(["--bogus", "extra", "-", "--"]))
+    return argv
+
+
+def _invoke(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: usage errors, --help and --version
+        code = exc.code
+    except Exception as exc:  # any other escape would end in a traceback
+        pytest.fail(f"{argv} raised {exc!r}")
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seeded_command_line_fuzz(capsys, monkeypatch, tmp_path, seed):
+    monkeypatch.delenv("RIBBONVOL_CACHE_DIR", raising=False)
+    a_file = tmp_path / "plain-file"
+    a_file.write_text("not a directory\n")
+    cache_dirs = [str(tmp_path / "cache"), str(a_file), str(a_file / "sub"), "",
+                  str(tmp_path / "nested" / "cache"), "bad\0path"]
+    rng = random.Random(f"cli-fuzz:{seed}")
+    for _ in range(100):
+        argv = _fuzz_argv(rng, cache_dirs)
+        code, out, err = _invoke(capsys, argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in out + err, argv
+        if code == 0:
+            assert out, argv
+        if code == 2:
+            assert "usage:" in err, (argv, err)
+        assert _invoke(capsys, argv) == (code, out, err), argv

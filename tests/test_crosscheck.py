@@ -87,6 +87,14 @@ def test_continuous_recursion_needs_a_trial():
             verify_continuous_recursion(1, 2, trials=trials)
 
 
+def test_continuous_recursion_needs_two_boundaries():
+    # the chamber p_1 > p_j has no p_j at n = 1; this used to end in a bare
+    # "max() arg is an empty sequence" from the chamber sampler
+    for g in (1, 2):
+        with pytest.raises(ValueError, match="n >= 2"):
+            verify_continuous_recursion(g, 1)
+
+
 def test_chamber_points_are_in_the_chamber():
     pts = sample_chamber_points(0, 4, 8, 3)
     assert pts == sample_chamber_points(0, 4, 8, 3)

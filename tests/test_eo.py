@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ribbonvol import eo
 from ribbonvol.eo import (
     CURVE_EUCLIDEAN,
     CURVE_LAPLACE,
@@ -73,6 +74,47 @@ def test_verify_eo_full_grid_small():
         for g, n in GRID:
             results = verify_eo(CURVES[name], g, n, trials=2, seed=5)
             assert all(ok for _, ok in results), (name, g, n)
+
+
+def test_verify_eo_checks_each_distinct_draw_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return residue_sum(*args)
+
+    monkeypatch.setattr(eo, "residue_sum", counted)
+    # n = 1 has no spectator, so all six draws are the empty one
+    results = verify_eo(CURVE_LAPLACE, 2, 1, trials=6)
+    assert results == [((), True)] * 6
+    assert len(calls) == 1
+    # six distinct draws are six residue sums, one entry each, in draw order
+    calls.clear()
+    draws = sample_spectators(CURVE_LAPLACE.name, 0, 4, 6, 3)
+    assert len(set(draws)) == 6
+    results = verify_eo(CURVE_LAPLACE, 0, 4, trials=6, seed=3)
+    assert [spect for spect, _ in results] == draws
+    assert all(ok for _, ok in results)
+    assert len(calls) == 6
+
+
+def test_residue_sum_division_checks_the_double_poles(monkeypatch):
+    # a double-pole residue off by c / (r^2 - u)^2 leaves a remainder after
+    # the division by D, so the division still checks that the residues pair up
+    exact = eo._double_pole
+
+    def bumped(*args):
+        c0, c1 = exact(*args)
+        return c0 + 1, c1
+
+    spect = (F(3), F(-5))
+    assert residue_sum(CURVE_LAPLACE, 0, 3, spect) == compute(LAPLACE, 0, 3).partial_evaluate(
+        {1: spect[0], 2: spect[1]})
+    monkeypatch.setattr(eo, "_double_pole", bumped)
+    for curve in CURVES.values():
+        for g, n, spect in [(0, 3, (F(3), F(-5))), (1, 2, (F(7),)), (0, 4, (F(3), F(5), F(-11)))]:
+            with pytest.raises(ArithmeticError):
+                residue_sum(curve, g, n, spect)
 
 
 def test_verify_eo_needs_a_trial():

@@ -50,25 +50,31 @@ def package_modules(names) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "argv, unused",
+    "argv, unused, loads_json",
     [
-        (["--version"], MODULES),
-        (["count", "--gn", "1,1", "--p", "6"], MODULES - {"lattice"}),
-        (["count", "--gn", "0,3", "--max-sum", "6", "--cache-dir", "{cache}"], MODULES - {"lattice"}),
-        (["poly", "L", "1", "2"], {"lattice", "eo", "crosscheck"}),
-        (["verify", "--suite", "golden"], {"lattice", "eo"}),
-        (["verify", "--suite", "eo", "--trials", "1"], {"lattice", "crosscheck"}),
-        (["verify", "--suite", "series", "--level", "4"], {"eo"}),
-        (["intersect", "1", "1"], {"lattice", "eo"}),
+        (["--version"], MODULES, False),
+        (["count", "--gn", "1,1", "--p", "6"], MODULES - {"lattice"}, False),
+        (["count", "--gn", "0,3", "--max-sum", "6"], MODULES - {"lattice"}, False),
+        (["count", "--gn", "0,3", "--max-sum", "6", "--cache-dir", "{cache}"], MODULES - {"lattice"}, True),
+        (["poly", "L", "1", "2"], {"lattice", "eo", "crosscheck"}, False),
+        (["poly", "L", "1", "2", "--format", "json"], {"lattice", "eo", "crosscheck"}, True),
+        (["verify", "--suite", "golden"], {"lattice", "eo"}, False),
+        (["verify", "--suite", "eo", "--trials", "1"], {"lattice", "crosscheck"}, False),
+        (["verify", "--suite", "series", "--level", "4"], {"eo"}, False),
+        (["verify", "--suite", "golden", "--format", "jsonl"], {"lattice", "eo"}, True),
+        (["intersect", "1", "1"], {"lattice", "eo"}, False),
     ],
-    ids=["version", "count", "census", "poly", "golden", "eo", "series", "intersect"],
+    ids=["version", "count", "census-text", "census", "poly", "poly-json", "golden", "eo",
+         "series", "golden-jsonl", "intersect"],
 )
-def test_a_subcommand_loads_only_what_it_uses(tmp_path, argv, unused):
+def test_a_subcommand_loads_only_what_it_uses(tmp_path, argv, unused, loads_json):
+    # json is loaded only to read or write JSON: text output and counts do without it
     argv = [arg.format(cache=tmp_path) for arg in argv]
     _, loaded = probe(RUN_CLI, *argv)
     assert "ribbonvol.cli" in loaded
     assert not loaded & package_modules(unused)
     assert "dataclasses" not in loaded
+    assert ("json" in loaded) == loads_json
 
 
 def test_importing_the_package_loads_no_module():
