@@ -18,9 +18,6 @@ _HOMES = {
     "perimeter_volume": "crosscheck",
     "series_identity": "crosscheck",
     "verify_continuous_recursion": "crosscheck",
-    "CURVE_EUCLIDEAN": "eo",
-    "CURVE_LAPLACE": "eo",
-    "CURVE_SYMPLECTIC": "eo",
     "CURVES": "eo",
     "residue_sum": "eo",
     "verify_eo": "eo",

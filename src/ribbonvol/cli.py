@@ -27,6 +27,7 @@ from ._version import __version__
 from .surface import is_stable, stable_types
 
 _POLY_KINDS = {"L": "laplace", "VE": "euclidean", "VS": "symplectic"}
+_SUITES = ("golden", "ratio", "leading", "series", "eo", "symplectic")
 
 _SERIES_TYPES = ((0, 3), (1, 1), (0, 4), (1, 2))
 _EO_TYPES = ((0, 3), (1, 1), (0, 4), (1, 2), (2, 1))
@@ -37,10 +38,12 @@ def _parse_gn(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError("expected the form g,n")
-    g, n = (int(part) for part in parts)
+    return int(parts[0]), int(parts[1])
+
+
+def _require_stable(parser, g: int, n: int) -> None:
     if not is_stable(g, n):
-        raise ValueError(f"({g}, {n}) is not a stable surface type")
-    return g, n
+        parser.error(f"({g}, {n}) is not a stable surface type")
 
 
 def _fraction_text(value) -> str:
@@ -69,6 +72,7 @@ def _cmd_count(args, parser) -> int:
         g, n = _parse_gn(args.gn)
     except ValueError as exc:
         parser.error(str(exc))
+    _require_stable(parser, g, n)
     if (args.p is None) == (args.max_sum is None):
         parser.error("provide exactly one of --p and --max-sum")
 
@@ -109,8 +113,7 @@ def _cmd_poly(args, parser) -> int:
     from .transform import CONFIGS, compute
 
     config = CONFIGS[_POLY_KINDS[args.kind]]
-    if not is_stable(args.g, args.n):
-        parser.error(f"({args.g}, {args.n}) is not a stable surface type")
+    _require_stable(parser, args.g, args.n)
     poly = compute(config, args.g, args.n)
     if args.format == "json":
         import json
@@ -164,15 +167,13 @@ def _verify_cases(suite: str, level: int | None, seed: int, trials: int):
             return all(flag for _, flag in results), f"{len(results)} trials"
         cases = [(f"residues[{name}]({g},{n})", residues, CURVES[name], g, n)
                  for name in sorted(CURVES) for g, n in _EO_TYPES]
-    elif suite == "symplectic":
+    else:  # "symplectic"
         from .crosscheck import verify_continuous_recursion
 
         def integral(g, n):
             results = verify_continuous_recursion(g, n, trials=trials, seed=seed)
             return all(flag for _, flag in results), f"{len(results)} chamber points"
         cases = [(f"integral({g},{n})", integral, g, n) for g, n in _CONTINUOUS_TYPES]
-    else:  # pragma: no cover - guarded by argparse choices
-        raise ValueError(suite)
     for case, check, *args in cases:
         try:
             ok, detail = check(*args)
@@ -187,11 +188,7 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--trials must be positive")
     if args.level is not None and args.level < 1:
         parser.error("--level must be positive")
-    suites = (
-        ["golden", "ratio", "leading", "series", "eo", "symplectic"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = _SUITES if args.suite == "all" else (args.suite,)
     # a perimeter-sum bound below n leaves that type no lattice point
     widest = max(n for _, n in _SERIES_TYPES)
     if "series" in suites and args.level is not None and args.level < widest:
@@ -217,8 +214,7 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_intersect(args, parser) -> int:
     from .crosscheck import intersection_ratio_report
 
-    if not is_stable(args.g, args.n):
-        parser.error(f"({args.g}, {args.n}) is not a stable surface type")
+    _require_stable(parser, args.g, args.n)
     rows = intersection_ratio_report(args.g, args.n)
     ratios = set()
     for key, literal, classical, ratio in rows:
@@ -252,19 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_count.add_argument("--cache-dir", metavar="DIR", help="directory for census caching")
+    p_count.set_defaults(handler=_cmd_count)
 
     p_poly = sub.add_parser("poly", help="print a polynomial")
     p_poly.add_argument("kind", choices=sorted(_POLY_KINDS), help="L, VE or VS")
     p_poly.add_argument("g", type=int)
     p_poly.add_argument("n", type=int)
     p_poly.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    p_poly.set_defaults(handler=_cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run consistency suites")
-    p_verify.add_argument(
-        "--suite",
-        choices=("golden", "ratio", "leading", "series", "eo", "symplectic", "all"),
-        default="all",
-    )
+    p_verify.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
         "--level",
@@ -274,10 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--trials", type=int, default=5)
     p_verify.add_argument("--format", choices=("text", "jsonl"), default="text")
+    p_verify.set_defaults(handler=_cmd_verify)
 
     p_int = sub.add_parser("intersect", help="intersection numbers from V^S")
     p_int.add_argument("g", type=int)
     p_int.add_argument("n", type=int)
+    p_int.set_defaults(handler=_cmd_intersect)
 
     return parser
 
@@ -285,14 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "count": _cmd_count,
-        "poly": _cmd_poly,
-        "verify": _cmd_verify,
-        "intersect": _cmd_intersect,
-    }
     try:
-        code = handlers[args.command](args, parser)
+        code = args.handler(args, parser)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away: send the rest, and the flush at exit, nowhere

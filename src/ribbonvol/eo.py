@@ -32,10 +32,10 @@ product enters with sign -1, the pullback of ds along the involution.
 
 The whole computation is exact and even in t1, so it is done in
 ``EvenLaurentPoly`` of u = t1^2 alone.  Residues are linear in the
-numerator, so the pieces that share a pole set are summed before any
-residue is taken.  The residues at t1 and -t1 are added in closed form,
-which cancels their odd parts, and every residue is brought over the one
-common denominator D(u) = prod_j (a_j^2 - u)^2.  The summed numerator must
+numerator, so ``integrand_terms`` sums the pieces that share a pole set
+before any residue is taken.  The residues at t1 and -t1 are added in
+closed form, which cancels their odd parts, and every residue is brought
+over the one common denominator D(u) = prod_j (a_j^2 - u)^2.  The sum must
 divide by D to an even Laurent polynomial, or an ArithmeticError is
 raised: that long division, on the public operations of ``EvenLaurentPoly``
 alone, is the check that the residues pair up.  ``verify_eo`` compares the
@@ -113,18 +113,6 @@ def check_kernel_identity(curve: SpectralCurveSpec) -> bool:
 # integrand assembly
 
 
-class Term(NamedTuple):
-    """One additive piece of omega: t * num(t^2) / ((t^2 - t1^2) * prod (t - root)^2).
-
-    ``num`` is a one-variable polynomial in u = t^2 and may carry negative
-    powers (t = 0 is not on the contour).  Every root comes from a pair
-    part, so every pole at a root is double.
-    """
-
-    num: EvenLaurentPoly
-    poles: tuple[Fraction, ...]
-
-
 def _extended_splittings(g: int, m: int):
     """Ordered pairs ((g1, I), (g2, J)) partitioning g and {0..m-1} where each
     half is stable or a two-point part (g_i = 0 with exactly one label)."""
@@ -141,8 +129,11 @@ def _extended_splittings(g: int, m: int):
 
 
 def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
-                    spectators: Sequence[Fraction]) -> list[Term]:
-    """The additive pieces of omega(t) for F_{g,n}(t1, spectators)."""
+                    spectators: Sequence[Fraction]) -> dict[tuple[Fraction, ...], EvenLaurentPoly]:
+    """omega(t) for F_{g,n}(t1, spectators) as {R: B_R}, summed per pole set:
+    omega = sum_R t B_R(t^2) / ((t^2 - t1^2) prod_(r in R) (t - r)^2), R sorted.
+    B_R is in u = t^2 and may carry negative powers (t = 0 is not on the
+    contour).  Every root comes from a pair part, so its pole is double."""
     if not is_stable(g, n):
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
     a = [Fraction(v) for v in spectators]
@@ -155,14 +146,14 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
     # the kernel's numerator is -t kappa_hat(t), less the factor t every piece
     # keeps; its sign cancels the sign -1 of every bracket product
     kappa_hat = curve.kappa_hat
-    terms = []
+    pieces: dict[tuple[Fraction, ...], list[EvenLaurentPoly]] = {}
     if g >= 1:
         if is_stable(g - 1, n + 1):
             q = compute(curve.config, g - 1, n + 1)
             q = q.partial_evaluate({i + 2: a[i] for i in range(n - 1)})
-            terms.append(Term(q.diagonal_merge(0, 1) * kappa_hat, ()))
+            pieces[()] = [q.diagonal_merge(0, 1) * kappa_hat]
         else:  # (g-1, n+1) == (0, 2): the pair kernel at the diagonal
-            terms.append(Term(EvenLaurentPoly.monomial(1, (-1,), w / 4) * kappa_hat, ()))
+            pieces[()] = [EvenLaurentPoly.monomial(1, (-1,), w / 4) * kappa_hat]
     for g1, part1, g2, part2 in _extended_splittings(g, n - 1):
         num, scale, poles = kappa_hat, Fraction(1), []
         for gp, labels, sign in ((g1, part1, 1), (g2, part2, -1)):
@@ -172,8 +163,8 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
             else:
                 part = compute(curve.config, gp, len(labels) + 1)
                 num = num * part.partial_evaluate({i + 1: a[j] for i, j in enumerate(labels)})
-        terms.append(Term(num * scale, tuple(sorted(poles))))
-    return terms
+        pieces.setdefault(tuple(sorted(poles)), []).append(num * scale)
+    return {poles: EvenLaurentPoly.sum(1, nums) for poles, nums in pieces.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +212,16 @@ def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
     """Minus the residues of omega(t) over t = +-t1 and t = +-a_j, as an
     even Laurent polynomial in the live variable.
 
-    Everything is a polynomial in u = t1^2.  The pieces that share a pole set
-    R are summed to one B(u) first.  Its paired simple poles at +-t1 give
+    Everything is a polynomial in u = t1^2.  ``integrand_terms`` sums the
+    pieces of a pole set R to one B(u).  Its paired simple poles at +-t1 give
     B(u) E_R(u) / prod_(r in R) (r^2 - u)^2, with E_R(t1^2) the even part of
     prod_r (t1 + r)^2, and its double poles give two scalars per r^2.  The
     numerators over the same factors of D(u) = prod_j (a_j^2 - u)^2 are summed,
     each sum is multiplied by the factors it lacks, and the total by 1/D once.
     """
-    by_poles: dict[tuple[Fraction, ...], list[EvenLaurentPoly]] = {}
-    for term in integrand_terms(curve, g, n, spectators):
-        by_poles.setdefault(term.poles, []).append(term.num)
     groups: dict[frozenset, list[EvenLaurentPoly]] = {}  # factors of D present -> numerators
     doubles: dict[Fraction, tuple[Fraction, Fraction]] = {}  # r^2 -> (c0, c1)
-    for poles, nums in by_poles.items():
-        num = EvenLaurentPoly.sum(1, nums)
+    for poles, num in integrand_terms(curve, g, n, spectators).items():
         coeffs = [Fraction(1)]  # of prod_r (t1 + r)^2, lowest power of t1 first
         for r in poles:
             for _ in range(2):

@@ -274,18 +274,17 @@ class EvenLaurentPoly:
     def substitute_slots(self, mapping: Mapping[int, int], new_arity: int) -> "EvenLaurentPoly":
         """Re-embed into ``new_arity`` variables via an injective slot map.
 
-        ``mapping[old_slot] = new_slot`` must cover every slot this
-        polynomial actually uses, and name no other; unmapped new slots get
-        exponent 0.
+        ``mapping[old_slot] = new_slot`` is total: it names every old slot
+        exactly once, and nothing else, or ``ValueError`` is raised.  New
+        slots that it does not name get exponent 0.
         """
+        if mapping.keys() != set(range(self.arity)):
+            raise ValueError(f"slot map keys must be the slots 0..{self.arity - 1}")
         targets = list(mapping.values())
         if len(set(targets)) != len(targets):
             raise ValueError("slot map must be injective")
         if any(not 0 <= s < new_arity for s in targets):
             raise ValueError("slot map target out of range")
-        for old in mapping:
-            self._check_var(old)
-        unmapped = [old for old in range(self.arity) if old not in mapping]
         # new slot -> old slot, or the index of a 0 appended to the exponents
         source = [self.arity] * new_arity
         for old, new in mapping.items():
@@ -298,13 +297,8 @@ class EvenLaurentPoly:
             def pick(padded):
                 return tuple(padded[s] for s in source)
 
-        # an injective map of the used slots keeps distinct terms distinct
-        out: dict[Exponents, int] = {}
-        for exps, c in self._num.items():
-            for old in unmapped:
-                if exps[old]:
-                    raise ValueError(f"slot {old} used but not mapped")
-            out[pick(exps + pad)] = c
+        # an injective map keeps distinct terms distinct
+        out = {pick(exps + pad): c for exps, c in self._num.items()}
         return EvenLaurentPoly._trusted(new_arity, out, self._den)
 
     def diagonal_merge(self, keep: int, absorb: int) -> "EvenLaurentPoly":

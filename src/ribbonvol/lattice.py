@@ -344,8 +344,8 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
     is set, the table is read from / written to a JSON file addressed by
     (g, n, max_sum); a file is used only if the table read from it writes
     back the same document (``_load_cache``), and is otherwise recomputed
-    and replaced.  A ``cache_dir`` that exists but is not a
-    directory raises ``NotADirectoryError`` before anything is computed.
+    and replaced.  The directory is made before anything is computed; an
+    unusable one raises ``OSError`` (``NotADirectoryError`` for a file).
     A ``max_sum`` below ``n`` admits no vector and is rejected rather than
     answered with an empty table.
     """
@@ -356,6 +356,10 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
     if cache_dir:
         if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
             raise NotADirectoryError(f"cache directory {cache_dir!r} is not a directory")
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except ValueError as exc:  # a path the OS cannot name, such as one with a NUL byte
+            raise OSError(f"cache directory {cache_dir!r}: {exc}") from None
         path = os.path.join(cache_dir, f"census-g{g}-n{n}-P{max_sum}.json")
         table = _load_cache(path, g, n, max_sum)
         if table is not None:
@@ -374,7 +378,6 @@ def _write_cache(path: str, table: CountTable) -> None:
     import tempfile
 
     directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -78,6 +78,22 @@ def test_count_census_cache_dir_that_is_a_file(capsys, tmp_path):
     assert "is not a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["nul-byte", "under-a-file"])
+def test_count_census_unusable_cache_dir_fails_first(capsys, monkeypatch, tmp_path, where):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    cache_dir = "bad\0path" if where == "nul-byte" else str(a_file / "sub")
+
+    def no_counting(*args):
+        raise AssertionError("a count was computed for an unusable cache directory")
+
+    monkeypatch.setattr(lattice, "count", no_counting)
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--gn", "0,4", "--max-sum", "12", "--cache-dir", cache_dir])
+    assert err.value.code == 2
+    assert "error: census cache: " in capsys.readouterr().err
+
+
 def test_count_census_text_deterministic(capsys):
     _, first = run(capsys, "count", "--gn", "0,4", "--max-sum", "7")
     _, second = run(capsys, "count", "--gn", "0,4", "--max-sum", "7")

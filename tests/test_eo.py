@@ -63,10 +63,26 @@ def test_integrand_is_odd():
     for curve in (CURVE_LAPLACE, CURVE_SYMPLECTIC):
         for (g, n), spect in [((0, 3), (3, -5)), ((1, 2), (7,)), ((2, 1), ()), ((1, 3), (3, -5))]:
             terms = integrand_terms(curve, g, n, tuple(F(v) for v in spect))
-            assert all(t.num.arity == 1 for t in terms)
-            flipped = [(-t.num, tuple(-r for r in t.poles)) for t in terms]
-            negated = [(-t.num, t.poles) for t in terms]
+            assert all(num.arity == 1 for num in terms.values())
+            flipped = [(-num, tuple(-r for r in poles)) for poles, num in terms.items()]
+            negated = [(-num, poles) for poles, num in terms.items()]
             assert canon(flipped) == canon(negated), (curve.name, g, n)
+
+
+def test_integrand_terms_are_keyed_by_pole_set():
+    # one entry per distinct sorted pole tuple of the splittings, plus () for
+    # the genus term; a two-point half on the +t side has its pole at -a
+    a = (F(3), F(-5))
+    expected = {()}
+    for g1, part1, g2, part2 in _extended_splittings(1, 2):
+        poles = [-sign * a[labels[0]]
+                 for gp, labels, sign in ((g1, part1, 1), (g2, part2, -1))
+                 if gp == 0 and len(labels) == 1]
+        expected.add(tuple(sorted(poles)))
+    for curve in CURVES.values():
+        terms = integrand_terms(curve, 1, 3, a)
+        assert set(terms) == expected, curve.name
+        assert all(num.arity == 1 for num in terms.values())
 
 
 def test_verify_eo_full_grid_small():

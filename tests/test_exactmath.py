@@ -238,6 +238,12 @@ def test_substitute_slots():
             one.substitute_slots(mapping, 2)  # a key that is not a slot of one
 
 
+def test_substitute_slots_needs_a_total_map():
+    # slot 1 is unmapped though no term uses it: the map must still name it
+    with pytest.raises(ValueError):
+        EvenLaurentPoly(2, {(1, 0): 1}).substitute_slots({0: 1}, 2)
+
+
 def test_diagonal_merge():
     p = EvenLaurentPoly(3, {(1, 2, -1): F(5)})
     assert p.diagonal_merge(0, 1) == EvenLaurentPoly(2, {(3, -1): F(5)})

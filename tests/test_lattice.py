@@ -347,6 +347,15 @@ def test_census_cache_dir_that_is_a_file_is_rejected(tmp_path):
         census(1, 1, 4, cache_dir=str(path))
 
 
+def test_census_cache_dir_that_cannot_be_named_fails_before_counting(monkeypatch):
+    def no_counting(*args):
+        raise AssertionError("a count was computed for an unusable cache directory")
+
+    monkeypatch.setattr(lattice, "count", no_counting)
+    with pytest.raises(OSError, match="embedded null byte"):
+        census(0, 4, 12, cache_dir="bad\0path")
+
+
 def _run_threads(target, workers):
     errors = []
 
