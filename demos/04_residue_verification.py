@@ -3,10 +3,11 @@
 Each configuration of the recursion has a spectral-curve presentation:
 F_{g,n}(t_1, a_2..a_n) equals minus the sum of residues of a kernel
 K(t, t_1) against lower-complexity data, with residues taken at +-t_1
-and at the spectator points +-a_j.  The computation below is exact --
-the residues at +-t_1 are added in closed form, so everything is a
-polynomial in t_1^2 over one common denominator -- and must reproduce the
-recursion engine's polynomial identically.
+and at the spectator points +-a_j.  The integrand is rational in t, so
+F_{g,n} is also the sum of its residues at t = 0 and t = infinity, where
+the involution t -> -t is fixed; those are what is computed below, read
+off power series exactly, as Laurent polynomials in t_1^2.  They must
+reproduce the recursion engine's polynomial identically.
 """
 
 from fractions import Fraction

@@ -33,21 +33,20 @@ product enters with sign -1, the pullback of ds along the involution.
 The whole computation is exact and even in t1, so it is done in
 ``EvenLaurentPoly`` of u = t1^2 alone.  Residues are linear in the
 numerator, so ``integrand_terms`` sums the pieces that share a pole set
-before any residue is taken.  The residues at t1 and -t1 are added in
-closed form, which cancels their odd parts, and every residue is brought
-over the one common denominator D(u) = prod_j (a_j^2 - u)^2.  The sum must
-divide by D to an even Laurent polynomial, or an ArithmeticError is
-raised: that long division, on the public operations of ``EvenLaurentPoly``
-alone, is the check that the residues pair up.  ``verify_eo`` compares the
-quotient against the recursion engine's output at seeded random spectator
-values, and checks a repeated draw once.
+before any residue is taken.  omega is a rational function of t, so by the
+residue theorem the sum above is also the sum of its residues at t = 0 and
+t = infinity, the ramification points of x, where s(t) = -t is fixed.
+``residue_sum`` takes those: each is read off a power series, so no pole
+at +-t1 or +-a_j is visited and no polynomial is divided.
+``verify_eo`` compares the result against the recursion engine's output at
+seeded random spectator values, and checks a repeated draw once.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import EvenLaurentPoly
@@ -171,40 +170,17 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
 # residue extraction
 
 
-def _laurent_divide(num: EvenLaurentPoly, den: EvenLaurentPoly) -> EvenLaurentPoly:
-    """Exact long division of one-variable even Laurent polynomials; raises
-    if the quotient is not itself a Laurent polynomial."""
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    (dtop,), lead = max(den.terms.items())
-    # a Laurent quotient has no term below min(num) - min(den)
-    (nmin,), (dmin,) = min(num.terms, default=(0,)), min(den.terms)
-    per_top = EvenLaurentPoly.monomial(1, (-dtop,), 1 / lead)
-    steps = []
-    while num:
-        step = num.leading_part() * per_top
-        if step.max_total_degree() < nmin - dmin:
-            raise ArithmeticError("residue sum did not reduce to a Laurent polynomial")
-        steps.append(step)
-        num = num - step * den
-    return EvenLaurentPoly.sum(1, steps)
-
-
-def _double_pole(num: EvenLaurentPoly, r: Fraction,
-                 poles: tuple[Fraction, ...]) -> tuple[Fraction, Fraction]:
-    """(c0, c1) with (c0 + c1 u) / (r^2 - u)^2 the residue at the double pole
-    t = r of N(t) / ((t^2 - u) Q(t)), where N(t) = t num(t^2) and Q(t) is the
-    product of (t - s)^2 over the other roots s of ``poles``."""
-    # the residue is ((N'(r) - N(r) Q'(r)/Q(r)) (r^2 - u) - 2 r N(r)) / (Q(r) (r^2 - u)^2)
-    q, slope = Fraction(1), Fraction(0)
-    for s in poles:
-        if s != r:
-            q *= (r - s) ** 2
-            slope += 2 / (r - s)
-    n_r = r * num.evaluate((r,))
-    # N'(t) = [(1 + 2u d/du) num](t^2)
-    outer = (num.t_derivative(0).evaluate((r,)) - n_r * slope) / q
-    return outer * r * r - 2 * r * n_r / q, -outer
+def _inverse_square_series(roots: Sequence[Fraction], top: int) -> list[Fraction]:
+    """[x^(2j)] prod_(c in roots) (1 - c x)^-2 for j = 0..top (none if top < 0)."""
+    # in integers: the x^m coefficient times d^m, d the roots' common denominator
+    d = lcm(*(c.denominator for c in roots))
+    coeffs = [1] + [0] * (2 * top)
+    for c in roots:
+        step = c.numerator * (d // c.denominator)
+        for _ in range(2):  # times (1 - c x)^-1: a running sum
+            for m in range(1, len(coeffs)):
+                coeffs[m] += step * coeffs[m - 1]
+    return [Fraction(c, d ** (2 * j)) for j, c in enumerate(coeffs[: 2 * top + 1 : 2])]
 
 
 def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
@@ -212,40 +188,27 @@ def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
     """Minus the residues of omega(t) over t = +-t1 and t = +-a_j, as an
     even Laurent polynomial in the live variable.
 
-    Everything is a polynomial in u = t1^2.  ``integrand_terms`` sums the
-    pieces of a pole set R to one B(u).  Its paired simple poles at +-t1 give
-    B(u) E_R(u) / prod_(r in R) (r^2 - u)^2, with E_R(t1^2) the even part of
-    prod_r (t1 + r)^2, and its double poles give two scalars per r^2.  The
-    numerators over the same factors of D(u) = prod_j (a_j^2 - u)^2 are summed,
-    each sum is multiplied by the factors it lacks, and the total by 1/D once.
+    omega is rational in t, so this is the sum of its residues at t = 0 and
+    t = infinity, and those are read off power series.  ``integrand_terms``
+    sums the pieces of a pole set R to one B(u), u = t1^2.  The residue at
+    t = 0 is the part with negative powers of u of -B(u) prod_r r^-2 P_0(u),
+    P_0(u) = sum_j [x^2j] prod_r (1 - x/r)^-2 u^j; the residue at t = infinity
+    is the part with the other powers of -B(u) u^-|R| P_inf(1/u),
+    P_inf(v) = sum_j [x^2j] prod_r (1 - r x)^-2 v^j.  Both are linear in B,
+    so each product is summed over R before its part is kept.
     """
-    groups: dict[frozenset, list[EvenLaurentPoly]] = {}  # factors of D present -> numerators
-    doubles: dict[Fraction, tuple[Fraction, Fraction]] = {}  # r^2 -> (c0, c1)
+    at_zero, at_infinity = [], []
     for poles, num in integrand_terms(curve, g, n, spectators).items():
-        coeffs = [Fraction(1)]  # of prod_r (t1 + r)^2, lowest power of t1 first
-        for r in poles:
-            for _ in range(2):
-                coeffs = [r * c + below for c, below in zip(coeffs + [0], [0] + coeffs)]
-        even = EvenLaurentPoly(1, {(k,): c for k, c in enumerate(coeffs[::2])})
-        groups.setdefault(frozenset(r * r for r in poles), []).append(num * even)
-        for r in poles:
-            c0, c1 = _double_pole(num, r, poles)
-            b0, b1 = doubles.get(r * r, (0, 0))
-            doubles[r * r] = (b0 + c0, b1 + c1)
-    for square, (c0, c1) in doubles.items():
-        groups.setdefault(frozenset((square,)), []).append(EvenLaurentPoly(1, {(0,): c0, (1,): c1}))
-    # one factor (a^2 - u)^2 of D per spectator
-    factors = {s: EvenLaurentPoly(1, {(0,): s * s, (1,): -2 * s, (2,): 1})
-               for s in (Fraction(a) ** 2 for a in spectators)}
-    parts = []
-    for present, nums in groups.items():
-        part = EvenLaurentPoly.sum(1, nums)
-        for square, factor in factors.items():
-            if square not in present:
-                part = part * factor
-        parts.append(part)
-    d = prod(factors.values(), start=EvenLaurentPoly.constant(1, 1))
-    return _laurent_divide(-EvenLaurentPoly.sum(1, parts), d)
+        (low,), (high,) = min(num.terms), max(num.terms)
+        scale = Fraction(-1) / prod(r * r for r in poles)
+        series = _inverse_square_series([1 / r for r in poles], -1 - low)
+        at_zero.append(num * EvenLaurentPoly(1, {(j,): scale * c for j, c in enumerate(series)}))
+        series = _inverse_square_series(poles, high - len(poles))
+        at_infinity.append(num * EvenLaurentPoly(1, {(-len(poles) - j,): -c
+                                                     for j, c in enumerate(series)}))
+    zero, infinity = EvenLaurentPoly.sum(1, at_zero), EvenLaurentPoly.sum(1, at_infinity)
+    return EvenLaurentPoly(1, {**{e: c for e, c in zero.terms.items() if e[0] < 0},
+                               **{e: c for e, c in infinity.terms.items() if e[0] >= 0}})
 
 
 def sample_spectators(curve_name: str, g: int, n: int, trials: int,

@@ -20,8 +20,8 @@ form.  Every ``EvenLaurentPoly`` operation works on the integers alone --
 no gcd per add or multiply, one gcd pass per result -- and stores its
 result through the private ``_trusted`` constructor unchecked, after
 ``_canonical`` has dropped what cancelled and divided out the common
-factor.  The divided-difference guard and the residue form's exact
-division are written with these operations, not with dicts of their own.
+factor.  The divided-difference guard is written with these operations,
+not with dicts of its own.
 
 Immutability is enforced, not a convention: attributes cannot be rebound,
 and ``terms`` is a read-only ``types.MappingProxyType`` of exponents to
@@ -329,10 +329,6 @@ class EvenLaurentPoly:
         return _canonical(
             self.arity, {e: c for e, c in self._num.items() if sum(e) == top}, self._den
         )
-
-    def max_total_degree(self) -> int | None:
-        """Maximal ``sum(a)`` over terms, or None for the zero polynomial."""
-        return max(map(sum, self._num), default=None)
 
     def evaluate(self, point: Sequence[object]) -> Fraction:
         """Evaluate at a rational point; nonzero coordinates required

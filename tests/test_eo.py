@@ -1,16 +1,14 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from ribbonvol import eo
+from ribbonvol import cli, eo
 from ribbonvol.eo import (
     CURVE_EUCLIDEAN,
     CURVE_LAPLACE,
     CURVE_SYMPLECTIC,
     CURVES,
     _extended_splittings,
-    _laurent_divide,
     check_kernel_identity,
     integrand_terms,
     kernel_identity_defect,
@@ -114,23 +112,25 @@ def test_verify_eo_checks_each_distinct_draw_once(monkeypatch):
     assert len(calls) == 6
 
 
-def test_residue_sum_division_checks_the_double_poles(monkeypatch):
-    # a double-pole residue off by c / (r^2 - u)^2 leaves a remainder after
-    # the division by D, so the division still checks that the residues pair up
-    exact = eo._double_pole
+def test_a_wrong_series_fails_the_suite(monkeypatch, capsys):
+    # a series off by 1 in its constant coefficient must show as a mismatch,
+    # in verify_eo and as FAIL rows of the CLI suite, not pass vacuously
+    exact = eo._inverse_square_series
 
-    def bumped(*args):
-        c0, c1 = exact(*args)
-        return c0 + 1, c1
+    def bumped(roots, top):
+        series = exact(roots, top)
+        if series:
+            series[0] += 1
+        return series
 
-    spect = (F(3), F(-5))
-    assert residue_sum(CURVE_LAPLACE, 0, 3, spect) == compute(LAPLACE, 0, 3).partial_evaluate(
-        {1: spect[0], 2: spect[1]})
-    monkeypatch.setattr(eo, "_double_pole", bumped)
     for curve in CURVES.values():
-        for g, n, spect in [(0, 3, (F(3), F(-5))), (1, 2, (F(7),)), (0, 4, (F(3), F(5), F(-11)))]:
-            with pytest.raises(ArithmeticError):
-                residue_sum(curve, g, n, spect)
+        assert all(ok for _, ok in verify_eo(curve, 0, 4, trials=2)), curve.name
+    monkeypatch.setattr(eo, "_inverse_square_series", bumped)
+    for curve in CURVES.values():
+        assert not all(ok for _, ok in verify_eo(curve, 0, 4, trials=2)), curve.name
+    assert cli.main(["verify", "--suite", "eo", "--trials", "1"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert all(any(f"[{name}]" in line for line in fails) for name in CURVES)
 
 
 def test_verify_eo_needs_a_trial():
@@ -161,48 +161,10 @@ def test_spectator_validation():
         integrand_terms(CURVE_LAPLACE, 0, 2, ())  # unstable
 
 
-def test_exact_division():
-    def poly(terms):
-        return EvenLaurentPoly(1, {(e,): c for e, c in terms.items()})
-
-    # (u^2 - 1) / (u - 1) = u + 1
-    assert _laurent_divide(poly({2: 1, 0: -1}), poly({1: 1, 0: -1})) == poly({1: 1, 0: 1})
-    # with a Laurent shift
-    assert _laurent_divide(poly({1: 1, -1: -1}), poly({1: 2})) == poly({0: F(1, 2), -2: F(-1, 2)})
-    assert _laurent_divide(poly({}), poly({1: 1})) == poly({})
-    # the guard: a remainder means the residue sum is not a Laurent polynomial
-    with pytest.raises(ArithmeticError):
-        _laurent_divide(poly({2: 1, 0: 1}), poly({1: 1, 0: -1}))
-    with pytest.raises(ZeroDivisionError):
-        _laurent_divide(poly({0: 1}), poly({}))
-
-
-def test_exact_division_round_trip():
-    rng = random.Random(1101)
-
-    def draw(size):
-        # mixed-sign exponents and coefficients; repeated exponents add up
-        terms = {}
-        for _ in range(size):
-            e = (rng.randint(-4, 4),)
-            c = F(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 6))
-            terms[e] = terms.get(e, 0) + c
-        return EvenLaurentPoly(1, terms)
-
-    for _ in range(200):
-        q = draw(rng.randint(1, 5))
-        d = draw(rng.randint(2, 4))
-        while len(d.terms) < 2:  # a monomial divides every monomial remainder
-            d = draw(rng.randint(2, 4))
-        assert _laurent_divide(q * d, d) == q
-        remainder = EvenLaurentPoly.monomial(1, (rng.randint(-6, 6),), F(rng.randint(1, 9), 7))
-        with pytest.raises(ArithmeticError):
-            _laurent_divide(q * d + remainder, d)
-
-
-# an oracle for residue_sum: the integrand on Fraction dicts in t, with the
-# residues at t1, at -t1 and at each root taken one by one and summed as
-# rational functions, so nothing is paired and no common denominator is used
+# an oracle for residue_sum, which takes the residues at t = 0 and t = infinity:
+# the integrand on Fraction dicts in t, with the residues at t1, at -t1 and at
+# each root taken one by one and summed as rational functions, so nothing is
+# paired and no common denominator is used
 
 
 def _acc(out, e, c):
@@ -322,8 +284,15 @@ def _oracle_residue_sum(curve, g, n, spectators):
 
 
 def test_residue_sum_matches_the_separate_residues():
-    for curve in CURVES.values():
-        for g, n in stable_types(4):
-            for spect in sample_spectators(curve.name, g, n, 2, 11):
-                got = residue_sum(curve, g, n, spect)
-                assert got == _oracle_residue_sum(curve, g, n, spect), (curve.name, g, n, spect)
+    cases = [(curve, g, n, spect)
+             for curve in CURVES.values()
+             for g, n in stable_types(4)
+             for spect in sample_spectators(curve.name, g, n, 2, 11)]
+    # laplace is the curve whose residues at t = 0 and at t = infinity are
+    # both nonzero; one draw of each type of complexity 5
+    for g, n in [(0, 7), (1, 5), (2, 3), (3, 1)]:
+        cases += [(CURVE_LAPLACE, g, n, spect)
+                  for spect in sample_spectators(CURVE_LAPLACE.name, g, n, 1, 11)]
+    for curve, g, n, spect in cases:
+        got = residue_sum(curve, g, n, spect)
+        assert got == _oracle_residue_sum(curve, g, n, spect), (curve.name, g, n, spect)
