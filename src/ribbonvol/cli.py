@@ -104,8 +104,9 @@ def _cmd_count(args, parser) -> int:
         import json
         print(json.dumps(table.to_json_dict(), indent=2, sort_keys=True))
     else:
-        for p, value in table.rows():
-            print(f"{' '.join(str(v) for v in p)}\t{_fraction_text(value)}")
+        sys.stdout.write("".join(
+            f"{' '.join(map(str, p))}\t{v.numerator}/{v.denominator}\n" for p, v in table.rows()
+        ))
     return 0
 
 

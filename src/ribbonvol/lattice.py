@@ -35,7 +35,9 @@ Neither sum is looped over per entry; both are read from prefix moments.
 * The double sum.  Grouping by s = q_1 + q_2, with the diagonal sums
   D(s) = sum_{q_1+q_2=s} q_1 q_2 X(q_1, q_2), B0[m] = sum_{s<m} D(s)
   and B1[m] = sum_{s<m} s D(s), it is p_1 B0[p_1] - B1[p_1], one table
-  per (g, n, rest).
+  per (g, n, rest).  The splittings in X depend only on g and the number
+  of spectators, so they are enumerated once per (g, len(rest)), on
+  positions of rest, and kept as a tuple.
 * Parity.  N vanishes whenever the total perimeter is odd (every ribbon
   graph edge is shared by two boundary arcs).  So D(s) = 0 whenever
   s + sum(rest) is odd: the genus term then has an odd total, and so
@@ -71,6 +73,8 @@ _memo: dict[tuple, Fraction] = {}
 _columns: dict[tuple, list] = {}
 # (g, n, rest) -> moments of s -> D(s)
 _diagonals: dict[tuple, list] = {}
+# (g, len(rest)) -> the splittings of g over the positions of rest
+_splittings: dict[tuple, tuple] = {}
 # the tables grow by check-then-append: one recursion runs at a time
 _lock = threading.Lock()
 
@@ -125,9 +129,9 @@ def _fsum(terms) -> tuple[int, int]:
 
 
 def _clear() -> None:
-    """Empty the memo and the moment tables."""
+    """Empty the memo, the moment tables and the splittings."""
     with _lock:
-        for table in (_memo, _columns, _diagonals):
+        for table in (_memo, _columns, _diagonals, _splittings):
             table.clear()
 
 
@@ -241,7 +245,10 @@ def _rhs(g: int, n: int, p1: int, rest: tuple) -> tuple[int, int]:
     """Right-hand side of the recursion, p1 N_{g,n}(p), as (numerator,
     denominator) for an arbitrary pivot perimeter ``p1``; ``rest`` sorted
     descending."""
-    splittings = enumerate_splittings(g, range(len(rest)))
+    shape = (g, len(rest))
+    splittings = _splittings.get(shape)
+    if splittings is None:
+        splittings = _splittings[shape] = tuple(enumerate_splittings(g, range(len(rest))))
     terms = []
     for idx, pj in enumerate(rest):
         column = _column(g, n - 1, rest[:idx] + rest[idx + 1 :])
@@ -314,14 +321,10 @@ class CountTable:
     def csv_text(self) -> str:
         header = ["g", "n"] + [f"p_{j + 1}" for j in range(self.n)] + ["numerator", "denominator"]
         lines = [",".join(header)]
-        for p, v in self.rows():
-            lines.append(
-                ",".join(
-                    [str(self.g), str(self.n)]
-                    + [str(x) for x in p]
-                    + [str(v.numerator), str(v.denominator)]
-                )
-            )
+        lines += [
+            f"{self.g},{self.n},{','.join(map(str, p))},{v.numerator},{v.denominator}"
+            for p, v in self.rows()
+        ]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -381,7 +384,8 @@ def _write_cache(path: str, table: CountTable) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(table.to_json_dict(), fh, indent=0, sort_keys=True)
+            # json.dumps without indent is the C encoder; json.dump never is
+            fh.write(json.dumps(table.to_json_dict(), sort_keys=True, separators=(",", ":")))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -37,6 +37,13 @@ def test_count_census_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "g,n,p_1,numerator,denominator"
     assert "1,1,6,2,3" in lines
+    # every byte of a three-boundary table
+    assert run(capsys, "count", "--gn", "0,3", "--max-sum", "6", "--format", "csv") == (
+        0,
+        "g,n,p_1,p_2,p_3,numerator,denominator\n"
+        "0,3,1,1,1,0,1\n0,3,1,1,2,1,1\n0,3,1,1,3,0,1\n0,3,1,1,4,1,1\n"
+        "0,3,1,2,2,0,1\n0,3,1,2,3,1,1\n0,3,2,2,2,1,1\n",
+    )
 
 
 def test_count_census_json_and_cache(capsys, tmp_path):
@@ -99,6 +106,11 @@ def test_count_census_text_deterministic(capsys):
     _, second = run(capsys, "count", "--gn", "0,4", "--max-sum", "7")
     assert first == second
     assert "1 1 1 3\t2/1" in first
+    assert run(capsys, "count", "--gn", "0,3", "--max-sum", "6") == (
+        0,
+        "1 1 1\t0/1\n1 1 2\t1/1\n1 1 3\t0/1\n1 1 4\t1/1\n"
+        "1 2 2\t0/1\n1 2 3\t1/1\n2 2 2\t1/1\n",
+    )
 
 
 def test_count_usage_errors(capsys):

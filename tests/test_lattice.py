@@ -200,6 +200,22 @@ def test_pivot_independence():
         assert values == {count(1, 2, p)}
 
 
+@pytest.mark.parametrize("g, n, p, shapes", [(3, 1, (28,), 6), (2, 2, (23, 17), 5)])
+def test_splittings_are_enumerated_once_per_shape(monkeypatch, g, n, p, shapes):
+    calls = []
+
+    def counted(genus, labels):
+        calls.append((genus, len(labels)))
+        return enumerate_splittings(genus, labels)
+
+    monkeypatch.setattr(lattice, "enumerate_splittings", counted)
+    for _ in range(2):  # and again once the caches are emptied
+        clear_caches()
+        calls.clear()
+        count(g, n, p)
+        assert len(calls) == len(set(calls)) == shapes
+
+
 def test_recursion_rhs_rejects_base_cases():
     with pytest.raises(ValueError):
         recursion_rhs(1, 1, (4,), 0)
@@ -274,12 +290,19 @@ def test_census_cache_round_trip(tmp_path, monkeypatch):
     first = census(1, 1, 10, cache_dir=str(tmp_path))
     files = list(tmp_path.glob("census-*.json"))
     assert len(files) == 1
-    doc = json.loads(files[0].read_text())
+    # one line of compact JSON
+    written = files[0].read_text()
+    assert written == json.dumps(first.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    doc = json.loads(written)
     assert doc["format"] == "ribbonvol-census"
-    # the warm read is the file alone: no count is computed
+    indented = json.dumps(doc, indent=0, sort_keys=True)  # the layout of earlier releases
+    # the warm read is the file alone: no count is computed, nothing is rewritten
     monkeypatch.setattr(lattice, "count", _no_counting)
-    second = census(1, 1, 10, cache_dir=str(tmp_path))
-    assert first.entries == second.entries
+    for text in (indented, written):
+        files[0].write_text(text)
+        second = census(1, 1, 10, cache_dir=str(tmp_path))
+        assert first.entries == second.entries
+        assert files[0].read_text() == text
 
 
 def test_census_cache_ignores_foreign_files(tmp_path):
