@@ -19,9 +19,11 @@
                            [ v_{g-1,n+1}(q_1, q_2, rest) + sum v v ] dq_1 dq_2
 
   with I(L) = Int_0^L q (L - q) v_{g,n-1}(q, rest minus p_j) dq and the
-  splitting sum over ordered stable splittings.  All integrals are done
-  exactly: Int_0^L q(L-q) q^{2a} dq = L^{2a+3} / ((2a+2)(2a+3)) and the
-  simplex integral of q_1^{2a+1} q_2^{2b+1} (p_1 - q_1 - q_2) is
+  splitting sum over ordered stable splittings; the simplex weight is
+  symmetric, so each ``surface.swap_classes`` class is integrated once
+  and weighed.  All integrals are done exactly: Int_0^L q(L-q) q^{2a} dq
+  = L^{2a+3} / ((2a+2)(2a+3)) and the simplex integral of
+  q_1^{2a+1} q_2^{2b+1} (p_1 - q_1 - q_2) is
   p_1^{2a+2b+5} (2a+1)! (2b+1)! / (2a+2b+5)!.
 
 * ``intersection_ratio_report`` -- literal intersection numbers read off
@@ -36,7 +38,7 @@ from math import factorial, prod
 from typing import Sequence
 
 from .exactmath import EvenLaurentPoly, laurent_to_series
-from .surface import enumerate_splittings, is_stable, perimeter_vectors
+from .surface import check_stable, enumerate_splittings, perimeter_vectors, swap_classes
 from .transform import LAPLACE, SYMPLECTIC, compute, intersection_numbers
 
 
@@ -119,12 +121,22 @@ def _simplex_integral(kernel: EvenLaurentPoly, bound: Fraction) -> Fraction:
     return total
 
 
+def _check_recursive(g: int, n: int) -> None:
+    # the chamber needs a p_1 above other perimeters; (0, 3) is a base case
+    check_stable(g, n)
+    if n < 2:
+        raise ValueError("need n >= 2 perimeter values")
+    if (g, n) == (0, 3):
+        raise ValueError("(0, 3) is a base case, not produced by the recursion")
+
+
 def continuous_rhs(g: int, n: int, point: Sequence[Fraction]) -> Fraction:
     """Right-hand side of the integral recursion at a chamber point
     (requires p_1 > p_j > 0 for every j >= 2)."""
+    _check_recursive(g, n)
     p = [Fraction(v) for v in point]
-    if len(p) != n or n < 2:
-        raise ValueError("need n >= 2 perimeter values")
+    if len(p) != n:
+        raise ValueError(f"expected {n} perimeter values, got {len(p)}")
     p1, rest = p[0], p[1:]
     if any(v <= 0 for v in p) or any(p1 <= v for v in rest):
         raise ValueError("chamber condition p_1 > p_j > 0 violated")
@@ -138,18 +150,18 @@ def continuous_rhs(g: int, n: int, point: Sequence[Fraction]) -> Fraction:
         total += _edge_integral(edge, p1 + pj) + _edge_integral(edge, p1 - pj)
 
     kernel = EvenLaurentPoly.zero(2)
-    if g >= 1 and is_stable(g - 1, n + 1):
+    if g >= 1:
         kernel = kernel + perimeter_volume(g - 1, n + 1).partial_evaluate(
             {i + 2: rest[i] for i in range(len(rest))}
         )
-    for sp in enumerate_splittings(g, range(len(rest))):
+    for sp, orderings in swap_classes(enumerate_splittings(g, range(len(rest)))):
         halves = []
         for slot, (gp, labels) in enumerate(((sp.g1, sp.part1), (sp.g2, sp.part2))):
             part = perimeter_volume(gp, len(labels) + 1).partial_evaluate(
-                {i + 1: rest[j] for i, j in enumerate(sorted(labels))}
+                {i + 1: rest[j] for i, j in enumerate(labels)}
             )
             halves.append(part.substitute_slots({0: slot}, 2))
-        kernel = kernel + halves[0] * halves[1]
+        kernel = kernel + orderings * (halves[0] * halves[1])
     if kernel:
         total += 2 * _simplex_integral(kernel, p1)
     return total
@@ -173,11 +185,10 @@ def verify_continuous_recursion(
 ) -> list[tuple[tuple[Fraction, ...], bool]]:
     """Compare p_1 v_{g,n}(p) against the integral recursion at seeded
     chamber points; returns one (point, matched) entry per trial, and raises
-    ``ValueError`` for ``trials < 1``, which would check nothing, or n < 2."""
+    ``ValueError`` for ``trials < 1``, which would check nothing, n < 2 or (0, 3)."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if n < 2:  # the chamber needs a p_1 above other perimeters
-        raise ValueError("need n >= 2 perimeter values")
+    _check_recursive(g, n)
     volume = perimeter_volume(g, n)
     results = []
     for point in sample_chamber_points(g, n, trials, seed):

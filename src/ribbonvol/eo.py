@@ -21,8 +21,9 @@ a_j -- equals minus the sum of residues of
 
 over the finite punctures t = +-t1 (simple) and t = +-a_j (double);
 t = 0 and t = infinity are excluded.  The bracket collects every ordered
-way of splitting (g, {2..n}) into two halves carried at arguments +t and
--t, where a half is either a stable F itself or the two-point pair
+splitting of (g, {2..n}) (``enumerate_splittings`` with ``pairs``) into
+two halves carried at arguments +t and -t, where a half is either a
+stable F itself or the two-point pair
 
     P(z, a) = w / (z + a)^2
 
@@ -50,7 +51,7 @@ from math import lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import EvenLaurentPoly
-from .surface import is_stable
+from .surface import check_stable, enumerate_splittings
 from .transform import EUCLIDEAN, LAPLACE, SYMPLECTIC, RecursionConfig, compute
 
 
@@ -112,29 +113,13 @@ def check_kernel_identity(curve: SpectralCurveSpec) -> bool:
 # integrand assembly
 
 
-def _extended_splittings(g: int, m: int):
-    """Ordered pairs ((g1, I), (g2, J)) partitioning g and {0..m-1} where each
-    half is stable or a two-point part (g_i = 0 with exactly one label)."""
-
-    def ok(gp: int, size: int) -> bool:
-        return (gp == 0 and size == 1) or is_stable(gp, size + 1)
-
-    for g1 in range(g + 1):
-        for mask in range(2**m):
-            part1 = tuple(i for i in range(m) if mask >> i & 1)
-            part2 = tuple(i for i in range(m) if not mask >> i & 1)
-            if ok(g1, len(part1)) and ok(g - g1, len(part2)):
-                yield g1, part1, g - g1, part2
-
-
 def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
                     spectators: Sequence[Fraction]) -> dict[tuple[Fraction, ...], EvenLaurentPoly]:
     """omega(t) for F_{g,n}(t1, spectators) as {R: B_R}, summed per pole set:
     omega = sum_R t B_R(t^2) / ((t^2 - t1^2) prod_(r in R) (t - r)^2), R sorted.
     B_R is in u = t^2 and may carry negative powers (t = 0 is not on the
     contour).  Every root comes from a pair part, so its pole is double."""
-    if not is_stable(g, n):
-        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+    check_stable(g, n)
     a = [Fraction(v) for v in spectators]
     if len(a) != n - 1:
         raise ValueError(f"expected {n - 1} spectator values, got {len(a)}")
@@ -146,14 +131,13 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
     # keeps; its sign cancels the sign -1 of every bracket product
     kappa_hat = curve.kappa_hat
     pieces: dict[tuple[Fraction, ...], list[EvenLaurentPoly]] = {}
-    if g >= 1:
-        if is_stable(g - 1, n + 1):
-            q = compute(curve.config, g - 1, n + 1)
-            q = q.partial_evaluate({i + 2: a[i] for i in range(n - 1)})
-            pieces[()] = [q.diagonal_merge(0, 1) * kappa_hat]
-        else:  # (g-1, n+1) == (0, 2): the pair kernel at the diagonal
-            pieces[()] = [EvenLaurentPoly.monomial(1, (-1,), w / 4) * kappa_hat]
-    for g1, part1, g2, part2 in _extended_splittings(g, n - 1):
+    if (g, n) == (1, 1):  # F_{0,2} is the pair kernel at the diagonal
+        pieces[()] = [EvenLaurentPoly.monomial(1, (-1,), w / 4) * kappa_hat]
+    elif g >= 1:
+        q = compute(curve.config, g - 1, n + 1)
+        q = q.partial_evaluate({i + 2: a[i] for i in range(n - 1)})
+        pieces[()] = [q.diagonal_merge(0, 1) * kappa_hat]
+    for g1, part1, g2, part2 in enumerate_splittings(g, range(n - 1), pairs=True):
         num, scale, poles = kappa_hat, Fraction(1), []
         for gp, labels, sign in ((g1, part1, 1), (g2, part2, -1)):
             if gp == 0 and len(labels) == 1:

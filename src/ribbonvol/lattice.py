@@ -37,7 +37,8 @@ Neither sum is looped over per entry; both are read from prefix moments.
   and B1[m] = sum_{s<m} s D(s), it is p_1 B0[p_1] - B1[p_1], one table
   per (g, n, rest).  The splittings in X depend only on g and the number
   of spectators, so they are enumerated once per (g, len(rest)), on
-  positions of rest, and kept as a tuple.
+  positions of rest.  A splitting and its swap have one convolution, so
+  each class of ``surface.swap_classes`` is convolved once and weighed.
 * Parity.  N vanishes whenever the total perimeter is odd (every ribbon
   graph edge is shared by two boundary arcs).  So D(s) = 0 whenever
   s + sum(rest) is odd: the genus term then has an odd total, and so
@@ -59,12 +60,13 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
+from itertools import chain
 from math import comb, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Mapping, Sequence
 
 from ._version import __version__
-from .surface import enumerate_splittings, is_stable, perimeter_vectors
+from .surface import check_stable, enumerate_splittings, perimeter_vectors, swap_classes
 
 _ZERO = Fraction(0)
 
@@ -73,7 +75,7 @@ _memo: dict[tuple, Fraction] = {}
 _columns: dict[tuple, list] = {}
 # (g, n, rest) -> moments of s -> D(s)
 _diagonals: dict[tuple, list] = {}
-# (g, len(rest)) -> the splittings of g over the positions of rest
+# (g, len(rest)) -> the swap classes of splittings of g over the positions of rest
 _splittings: dict[tuple, tuple] = {}
 # the tables grow by check-then-append: one recursion runs at a time
 _lock = threading.Lock()
@@ -136,8 +138,7 @@ def _clear() -> None:
 
 
 def _perimeters(g: int, n: int, p: Sequence[int]) -> tuple:
-    if not is_stable(g, n):
-        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+    check_stable(g, n)
     if len(p) != n:
         raise ValueError(f"expected {n} perimeters, got {len(p)}")
     if not all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in p):
@@ -194,28 +195,23 @@ def _column(g: int, n: int, spectators: tuple) -> list:
 
 def _double_sum(g: int, n: int, rest: tuple, splittings) -> list:
     """Moments of the diagonal sums s -> D(s) for (g, n, rest), rest
-    descending; ``splittings`` label the entries of rest by position."""
+    descending; ``splittings`` are swap classes on positions of rest."""
     key = (g, n, rest)
     table = _diagonals.get(key)
     if table is not None:
         return table
     parity = sum(rest) % 2
-    # (left column, right column, least q_1 with an even left total)
+    # (left column, right column, least q_1 with an even left total, orderings)
     pairs = []
-    for sp in splittings:
+    for sp, orderings in splittings:
         left = tuple(rest[i] for i in sp.part1)
         right = tuple(rest[i] for i in sp.part2)
-        pairs.append(
-            (
-                _column(sp.g1, len(left) + 1, left),
-                _column(sp.g2, len(right) + 1, right),
-                2 - sum(left) % 2,
-            )
-        )
+        pairs.append((_column(sp.g1, len(left) + 1, left), _column(sp.g2, len(right) + 1, right),
+                      2 - sum(left) % 2, orderings))
 
     def products(s: int):
         """(numerator, denominator) pairs summing to D(s): one per genus
-        term, one per splitting pair."""
+        term, one per swap class of splittings."""
         if g >= 1:
             # X is symmetric in q_1, q_2: fold q_1 > q_2 onto q_1 < q_2
             for q1 in range(1, s // 2 + 1):
@@ -224,13 +220,13 @@ def _double_sum(g: int, n: int, rest: tuple, splittings) -> list:
                 if v:
                     w = q1 * q2 if q1 == q2 else 2 * q1 * q2
                     yield w * v.numerator, v.denominator
-        for left, right, first in pairs:
+        for left, right, first, orderings in pairs:
             a = _extend(left, s)
             b = _extend(right, s)
             # sum over q_1 = first, first + 2, .. < s of a[q_1] b[s - q_1]
             conv = sum(map(mul, a[first:s:2], b[s - first : 0 : -2]))
             if conv:
-                yield conv, left[4] * right[4]
+                yield orderings * conv, left[4] * right[4]
 
     def term(s: int) -> tuple[int, int]:
         if s % 2 != parity:
@@ -248,7 +244,7 @@ def _rhs(g: int, n: int, p1: int, rest: tuple) -> tuple[int, int]:
     shape = (g, len(rest))
     splittings = _splittings.get(shape)
     if splittings is None:
-        splittings = _splittings[shape] = tuple(enumerate_splittings(g, range(len(rest))))
+        splittings = _splittings[shape] = swap_classes(enumerate_splittings(g, range(len(rest))))
     terms = []
     for idx, pj in enumerate(rest):
         column = _column(g, n - 1, rest[:idx] + rest[idx + 1 :])
@@ -271,9 +267,9 @@ def recursion_rhs(g: int, n: int, p: Sequence[int], pivot: int) -> Fraction:
     The recursion holds with any entry in the pivot slot; tests compare
     this against ``count`` for every pivot.
     """
-    if (g, n) in ((0, 3), (1, 1)):
-        raise ValueError("base cases are not produced by the recursion")
     p = _perimeters(g, n, p)
+    if (g, n) in ((0, 3), (1, 1)):
+        raise ValueError(f"({g}, {n}) is a base case, not produced by the recursion")
     if not 0 <= pivot < n:
         raise ValueError(f"pivot must be an index in range({n}), got {pivot}")
     if sum(p) % 2:
@@ -352,6 +348,7 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
     A ``max_sum`` below ``n`` admits no vector and is rejected rather than
     answered with an empty table.
     """
+    check_stable(g, n)
     if max_sum < n:
         raise ValueError(f"max_sum must be at least n = {n}: every perimeter is positive")
     cache_dir = cache_dir or os.environ.get("RIBBONVOL_CACHE_DIR")
@@ -394,8 +391,8 @@ def _write_cache(path: str, table: CountTable) -> None:
 
 def _load_cache(path, g, n, max_sum):
     """The table in ``path``, or None unless its values, one per vector of the table in order,
-    build a table whose ``to_json_dict()`` equals the decoded file.  The test is ``==``, so a
-    JSON number spelled ``true`` or ``6.0`` where the writer puts ``1`` or ``6`` still passes."""
+    build a table whose ``to_json_dict()`` equals the decoded file and its every number is an
+    ``int``: ``==`` alone takes a ``true`` or ``6.0`` where the writer puts ``1`` or ``6``."""
     import json
     try:
         with open(path, encoding="utf-8") as fh:
@@ -405,7 +402,8 @@ def _load_cache(path, g, n, max_sum):
         for p, (_, value) in zip(vectors, doc["entries"], strict=True):
             num, den = value.split("/")
             entries[p] = Fraction(int(num), int(den))
+        numbers = chain((doc["g"], doc["n"], doc["max_sum"]), *map(itemgetter(0), doc["entries"]))
     except (OSError, ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError):
         return None
     table = CountTable(g, n, max_sum, entries)
-    return table if table.to_json_dict() == doc else None
+    return table if table.to_json_dict() == doc and set(map(type, numbers)) == {int} else None

@@ -1,4 +1,7 @@
-"""Surface types and the combinatorics of stable boundary splittings."""
+"""Surface types and the combinatorics of boundary splittings: the one
+place that decides which two halves a separating edge may leave
+(``enumerate_splittings``) and how often each splitting counts in a sum
+symmetric in the halves (``swap_classes``), for all four recursions."""
 
 from __future__ import annotations
 
@@ -7,10 +10,16 @@ from typing import Iterator, NamedTuple, Sequence
 
 
 def is_stable(g: int, n: int) -> bool:
-    """g >= 0, n >= 1 and 2g - 2 + n > 0: the domain of every recursion in
-    this package (a closed surface has no boundary to carry a perimeter or
-    a variable), and the one check every entry point makes."""
-    return g >= 0 and n >= 1 and 2 * g - 2 + n > 0
+    """g and n integers (not ``bool``), g >= 0, n >= 1 and 2g - 2 + n > 0:
+    the domain of every recursion in this package (a closed surface has no
+    boundary to carry a perimeter or a variable)."""
+    return type(g) is type(n) is int and g >= 0 and n >= 1 and 2 * g - 2 + n > 0
+
+
+def check_stable(g: int, n: int) -> None:
+    """Every entry point's check: ``ValueError`` naming (g, n) unless stable."""
+    if not is_stable(g, n):
+        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
 
 
 def stable_types(max_complexity: int) -> list[tuple[int, int]]:
@@ -42,12 +51,9 @@ def perimeter_vectors(n: int, max_sum: int, ascending: bool = False) -> Iterator
 
 
 class Splitting(NamedTuple):
-    """An ordered stable splitting (g1, I) / (g2, J) of (g, labels).
-
-    ``I`` and ``J`` partition the spectator labels; each part, together
-    with the distinguished slot it will receive, must be stable:
-    2*g_i - 1 + |part| > 0.
-    """
+    """An ordered splitting (g1, I) / (g2, J) of (g, labels): ``I`` and
+    ``J`` partition the spectator labels, and each half also receives the
+    distinguished slot of the removed edge."""
 
     g1: int
     part1: tuple
@@ -55,27 +61,33 @@ class Splitting(NamedTuple):
     part2: tuple
 
 
-def enumerate_splittings(g: int, labels: Sequence) -> list[Splitting]:
-    """All ordered stable splittings of genus ``g`` over ``labels``.
-
-    Each unordered pair appears in both orders; the self-symmetric
-    splitting (equal genus, both parts empty-equal) appears once, since
-    swapping it gives back the same assignment.
-    """
+def enumerate_splittings(g: int, labels: Sequence, pairs: bool = False) -> list[Splitting]:
+    """All ordered splittings of genus ``g`` over ``labels`` whose halves
+    (g_i, part) have 2 g_i + |part| >= 2, so each half with its new slot is
+    stable; with ``pairs`` the bound is 1, which also admits the residue
+    form's two-point halves (genus 0, one label).  Each part keeps the
+    order of ``labels``.  Both orders of each splitting appear, once if
+    they are the same (equal genera, both parts empty)."""
     if g < 0:
         raise ValueError("genus must be nonnegative")
     pool = tuple(labels)
     if len(set(pool)) != len(pool):
         raise ValueError("labels must be distinct")
+    least = 1 if pairs else 2
     out: list[Splitting] = []
     for g1 in range(g + 1):
         g2 = g - g1
         for r in range(len(pool) + 1):
-            if 2 * g1 - 1 + r <= 0:
+            if 2 * g1 + r < least or 2 * g2 + len(pool) - r < least:
                 continue
             for part1 in combinations(pool, r):
                 part2 = tuple(x for x in pool if x not in part1)
-                if 2 * g2 - 1 + len(part2) <= 0:
-                    continue
                 out.append(Splitting(g1, part1, g2, part2))
     return out
+
+
+def swap_classes(splittings: Sequence[Splitting]) -> tuple[tuple[Splitting, int], ...]:
+    """Each splitting of a swap-closed list once per swap of its halves, as
+    (splitting, orderings) with (g1, part1) <= (g2, part2): ``orderings``
+    is 2, or 1 when the swap leaves the splitting unchanged."""
+    return tuple((sp, 1 if sp[:2] == sp[2:] else 2) for sp in splittings if sp[:2] <= sp[2:])

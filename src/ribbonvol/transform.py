@@ -22,8 +22,8 @@ kappa(u):
 where D_j is the divided difference of x |-> kappa(x^2) F_{g,n-1}(x, rest)
 between the slots t_1 and t_j, the derivative of an even h is realized as
 d/dt_j [t_j h] = h + 2 u_j dh/du_j (``t_derivative``), and the genus
-term is dropped at g = 0.  The splitting sum runs over
-``enumerate_splittings`` (each ordered assignment once, no extra weight).
+term is dropped at g = 0.  The splitting sum runs over the ordered
+splittings of ``surface.enumerate_splittings``.
 
 Each distinct term is computed once, by the S_n symmetry of F:
 
@@ -31,8 +31,8 @@ Each distinct term is computed once, by the S_n symmetry of F:
   one for slot 2 under the transposition t_2 <-> t_j.  One divided
   difference is taken, and its n - 2 images are slot substitutions.
 * An ordered splitting and its swap embed to the same product, so each
-  unordered pair is multiplied once and doubled; the self-swapped
-  splitting (n = 1, equal genera) is multiplied once and not doubled.
+  class of ``surface.swap_classes`` is multiplied once, and weighed by its
+  orderings once per group of classes with the same number.
 
 Everything is computed bottom-up in the complexity 2g - 2 + n and
 memoized per entry of ``CONFIGS``, the closed set ``compute`` accepts;
@@ -46,7 +46,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .exactmath import EvenLaurentPoly, divided_difference
-from .surface import enumerate_splittings, is_stable
+from .surface import check_stable, enumerate_splittings, swap_classes
 
 
 class RecursionConfig(NamedTuple):
@@ -115,8 +115,7 @@ def compute(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
     if not isinstance(config, RecursionConfig) or CONFIGS.get(config.name) != config:
         name = getattr(config, "name", config)
         raise ValueError(f"config {name!r} is not LAPLACE, EUCLIDEAN or SYMPLECTIC")
-    if not is_stable(g, n):
-        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+    check_stable(g, n)
     table = _tables[config.name]
     hit = table.get((g, n))
     if hit is not None:
@@ -152,20 +151,12 @@ def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
     def bracket_parts():
         if g >= 1:
             yield compute(config, g - 1, n + 1).diagonal_merge(0, 1)
-        # a splitting and its swap embed to the same product: it is computed
-        # for one order and doubled; the self-swapped splitting counts once
-        doubled = []
-        for sp in enumerate_splittings(g, range(1, n)):
-            one, other = (sp.g1, sp.part1), (sp.g2, sp.part2)
-            if one > other:
-                continue
-            product = _embed_part(config, *one, n) * _embed_part(config, *other, n)
-            if one == other:
-                yield product
-            else:
-                doubled.append(product)
-        if doubled:
-            yield 2 * EvenLaurentPoly.sum(n, doubled)
+        groups: dict[int, list] = {}
+        for (g1, part1, g2, part2), orderings in swap_classes(enumerate_splittings(g, range(1, n))):
+            product = _embed_part(config, g1, part1, n) * _embed_part(config, g2, part2, n)
+            groups.setdefault(orderings, []).append(product)
+        for orderings, products in groups.items():
+            yield orderings * EvenLaurentPoly.sum(n, products)
 
     bracket = EvenLaurentPoly.sum(n, bracket_parts())
     if bracket:
@@ -175,7 +166,7 @@ def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
 
 def _embed_part(config, g_part, slots, n):
     poly = compute(config, g_part, len(slots) + 1)
-    return poly.substitute_slots(dict(enumerate([0] + sorted(slots))), n)
+    return poly.substitute_slots(dict(enumerate((0, *slots))), n)
 
 
 def kontsevich_ratio(g: int, n: int) -> Fraction:

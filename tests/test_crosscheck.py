@@ -95,6 +95,15 @@ def test_continuous_recursion_needs_two_boundaries():
             verify_continuous_recursion(g, 1)
 
 
+def test_continuous_recursion_rejects_the_base_type():
+    # (0, 3) is a base case: it used to fail as "(0, 2) is not stable", raised
+    # by a lower table
+    with pytest.raises(ValueError, match=r"\(0, 3\) is a base case"):
+        verify_continuous_recursion(0, 3)
+    with pytest.raises(ValueError, match=r"\(0, 3\) is a base case"):
+        continuous_rhs(0, 3, (F(9), F(2), F(3)))
+
+
 def test_chamber_points_are_in_the_chamber():
     pts = sample_chamber_points(0, 4, 8, 3)
     assert pts == sample_chamber_points(0, 4, 8, 3)

@@ -8,7 +8,6 @@ from ribbonvol.eo import (
     CURVE_LAPLACE,
     CURVE_SYMPLECTIC,
     CURVES,
-    _extended_splittings,
     check_kernel_identity,
     integrand_terms,
     kernel_identity_defect,
@@ -19,6 +18,7 @@ from ribbonvol.eo import (
 from ribbonvol.exactmath import EvenLaurentPoly
 from ribbonvol.surface import is_stable, stable_types
 from ribbonvol.transform import LAPLACE, compute
+from test_surface import bitmask_splittings
 
 F = Fraction
 
@@ -72,7 +72,7 @@ def test_integrand_terms_are_keyed_by_pole_set():
     # the genus term; a two-point half on the +t side has its pole at -a
     a = (F(3), F(-5))
     expected = {()}
-    for g1, part1, g2, part2 in _extended_splittings(1, 2):
+    for g1, part1, g2, part2 in bitmask_splittings(1, 2):
         poles = [-sign * a[labels[0]]
                  for gp, labels, sign in ((g1, part1, 1), (g2, part2, -1))
                  if gp == 0 and len(labels) == 1]
@@ -216,7 +216,7 @@ def _oracle_terms(curve, g, n, a):
             bracket.append((_lscale(_from_even(q.diagonal_merge(0, 1)), -1), ()))
         else:
             bracket.append(({-2: -w / 4}, ()))
-    for g1, part1, g2, part2 in _extended_splittings(g, n - 1):
+    for g1, part1, g2, part2 in bitmask_splittings(g, n - 1):
         num = {0: F(-1)}
         poles = []
         for gp, labels, sign in ((g1, part1, 1), (g2, part2, -1)):

@@ -363,6 +363,34 @@ def test_census_cache_in_a_form_the_writer_never_produces_is_recomputed(tmp_path
         assert json.loads(target.read_text()) == good, doc
 
 
+def test_census_cache_with_numbers_that_are_not_ints_is_recomputed(tmp_path):
+    # each of these compares == to the written document, as false == 0,
+    # 6.0 == 6 and true == 1, but the writer never spells a number so
+    expected = census(0, 3, 6).entries
+    target = tmp_path / "census-g0-n3-P6.json"
+    census(0, 3, 6, cache_dir=str(tmp_path))
+    good = json.loads(target.read_text())
+    assert good["g"] == 0 and good["max_sum"] == 6 and [1, 1, 2] in (p for p, _ in good["entries"])
+
+    def vector_as(spelled):
+        return {**good, "entries": [[spelled if p == [1, 1, 2] else p, v] for p, v in good["entries"]]}
+
+    spellings = {
+        '"g":false': {**good, "g": False},
+        '"max_sum":6.0': {**good, "max_sum": 6.0},
+        "[1.0,1,2]": vector_as([1.0, 1, 2]),
+        "[true,1,2]": vector_as([True, 1, 2]),
+    }
+    for spelling, doc in spellings.items():
+        assert doc == good
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert spelling in text
+        target.write_text(text)
+        assert census(0, 3, 6, cache_dir=str(tmp_path)).entries == expected, spelling
+        assert target.read_text() != text, spelling  # a miss: recomputed and rewritten
+        assert json.loads(target.read_text()) == good
+
+
 def test_census_cache_dir_that_is_a_file_is_rejected(tmp_path):
     path = tmp_path / "not-a-dir"
     path.write_text("")

@@ -1,14 +1,20 @@
+import re
 from itertools import product
 
 import pytest
 
+from ribbonvol.crosscheck import series_identity
+from ribbonvol.eo import CURVE_LAPLACE, integrand_terms, verify_eo
+from ribbonvol.lattice import census, count, recursion_rhs
 from ribbonvol.surface import (
     Splitting,
     enumerate_splittings,
     is_stable,
     perimeter_vectors,
     stable_types,
+    swap_classes,
 )
+from ribbonvol.transform import LAPLACE, compute
 
 
 def test_stability():
@@ -19,6 +25,28 @@ def test_stability():
     assert is_stable(1, 1)
     assert not is_stable(2, 0)  # a closed surface carries no perimeter
     assert is_stable(5, 7)
+    for g, n in [(2.5, 1), (0, 4.0), (1.0, 1), (True, 1), (0, True), (False, 3)]:
+        assert not is_stable(g, n), (g, n)  # not integers, though stable by value
+
+
+# every entry point rejects a non-integer (g, n) as its own, not as the
+# type of a lower call, and never answers or fails further in
+ENTRY_POINTS = {
+    "compute": lambda g, n: compute(LAPLACE, g, n),
+    "count": lambda g, n: count(g, n, (2, 2, 2, 2)),
+    "census": lambda g, n: census(g, n, 12),
+    "recursion_rhs": lambda g, n: recursion_rhs(g, n, (2, 2, 2, 2), 0),
+    "integrand_terms": lambda g, n: integrand_terms(CURVE_LAPLACE, g, n, (3, 5, 7)),
+    "verify_eo": lambda g, n: verify_eo(CURVE_LAPLACE, g, n),
+    "series_identity": lambda g, n: series_identity(g, n, 12),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("g, n", [(2.5, 1), (0, 4.0), (True, 1), (1, True)])
+def test_entry_points_reject_non_integer_types(entry, g, n):
+    with pytest.raises(ValueError, match=re.escape(f"({g}, {n}) is not stable")):
+        ENTRY_POINTS[entry](g, n)
 
 
 def test_negative_genus_or_boundary_count_is_not_stable():
@@ -75,6 +103,54 @@ def test_larger_enumeration_is_symmetric():
         assert sorted(sp.part1 + sp.part2) == [0, 1]
         assert is_stable(sp.g1, len(sp.part1) + 1)
         assert is_stable(sp.g2, len(sp.part2) + 1)
+
+
+def bitmask_splittings(g, m):
+    """Every ordered ((g1, I), (g2, J)) over g and {0..m-1} whose halves are
+    each stable with their new slot, or a two-point half (genus 0, one
+    label); a brute-force oracle for ``enumerate_splittings(.., pairs=True)``."""
+
+    def ok(gp, size):
+        return (gp == 0 and size == 1) or is_stable(gp, size + 1)
+
+    for g1 in range(g + 1):
+        for mask in range(2**m):
+            part1 = tuple(i for i in range(m) if mask >> i & 1)
+            part2 = tuple(i for i in range(m) if not mask >> i & 1)
+            if ok(g1, len(part1)) and ok(g - g1, len(part2)):
+                yield g1, part1, g - g1, part2
+
+
+def test_splittings_equal_the_bitmask_oracle():
+    for g in range(4):
+        for m in range(6):
+            oracle = set(bitmask_splittings(g, m))
+            with_pairs = enumerate_splittings(g, range(m), pairs=True)
+            assert len(with_pairs) == len(oracle) and set(with_pairs) == oracle, (g, m)
+            stable = {sp for sp in oracle
+                      if is_stable(sp[0], len(sp[1]) + 1) and is_stable(sp[2], len(sp[3]) + 1)}
+            assert set(enumerate_splittings(g, range(m))) == stable, (g, m)
+
+
+def test_parts_keep_the_order_of_the_labels():
+    labels = ("c", "a", "d", "b")
+    for sp in enumerate_splittings(2, labels, pairs=True):
+        for part in (sp.part1, sp.part2):
+            assert list(part) == sorted(part, key=labels.index)
+
+
+def test_swap_classes_pick_one_splitting_per_swap_orbit():
+    for g in range(5):
+        for m in range(5):
+            for pairs in (False, True):
+                ordered = enumerate_splittings(g, range(m), pairs=pairs)
+                classes = swap_classes(ordered)
+                orbits = {frozenset((sp, _swap(sp))) for sp in ordered}
+                assert len(classes) == len(orbits)
+                assert {frozenset((sp, _swap(sp))) for sp, _ in classes} == orbits
+                for sp, orderings in classes:
+                    assert orderings == (1 if sp == _swap(sp) else 2)
+                assert sum(orderings for _, orderings in classes) == len(ordered)
 
 
 def test_validation():
