@@ -38,7 +38,7 @@ from math import factorial, prod
 from typing import Sequence
 
 from .exactmath import EvenLaurentPoly, laurent_to_series
-from .surface import check_stable, enumerate_splittings, perimeter_vectors, swap_classes
+from .surface import _check_int, check_stable, enumerate_splittings, perimeter_vectors, swap_classes
 from .transform import LAPLACE, SYMPLECTIC, compute, intersection_numbers
 
 
@@ -49,8 +49,7 @@ def series_identity(g: int, n: int, max_sum: int) -> int:
     ``ValueError`` rather than passed vacuously."""
     from .lattice import count  # here: no other check needs the lattice recursion
 
-    if max_sum < n:
-        raise ValueError(f"max_sum must be at least n = {n}: every perimeter is positive")
+    _check_int("max_sum", max_sum, n)
     series = laurent_to_series(compute(LAPLACE, g, n), max_sum)
     sign = (-1) ** n
     checked = 0
@@ -186,8 +185,7 @@ def verify_continuous_recursion(
     """Compare p_1 v_{g,n}(p) against the integral recursion at seeded
     chamber points; returns one (point, matched) entry per trial, and raises
     ``ValueError`` for ``trials < 1``, which would check nothing, n < 2 or (0, 3)."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _check_int("trials", trials, 1)
     _check_recursive(g, n)
     volume = perimeter_volume(g, n)
     results = []

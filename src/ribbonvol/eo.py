@@ -51,7 +51,7 @@ from math import lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .exactmath import EvenLaurentPoly
-from .surface import check_stable, enumerate_splittings
+from .surface import _check_int, check_stable, enumerate_splittings
 from .transform import EUCLIDEAN, LAPLACE, SYMPLECTIC, RecursionConfig, compute
 
 
@@ -211,8 +211,7 @@ def verify_eo(curve: SpectralCurveSpec, g: int, n: int, trials: int = 5,
     """Compare residue extraction against the recursion engine at seeded
     spectator values; returns one (spectators, matched) entry per trial, and
     raises ``ValueError`` for ``trials < 1``, which would check nothing."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _check_int("trials", trials, 1)
     reference = compute(curve.config, g, n)
     draws = sample_spectators(curve.name, g, n, trials, seed)
     verdicts = {}  # a repeated draw is checked once

@@ -48,7 +48,7 @@ from operator import add, getitem, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .surface import perimeter_vectors
+from .surface import _check_int, perimeter_vectors
 
 Exponents = tuple[int, ...]
 
@@ -123,8 +123,7 @@ class EvenLaurentPoly:
     def __init__(self, arity: int, terms: Mapping[Sequence[int], object] | None = None):
         if hasattr(self, "arity"):  # a second call would rewrite a shared polynomial
             raise AttributeError("EvenLaurentPoly is immutable")
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
+        _check_int("arity", arity, 0)
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)
@@ -230,8 +229,7 @@ class EvenLaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "EvenLaurentPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
+        _check_int("power", k, 0)
         out = EvenLaurentPoly.constant(self.arity, 1)
         base = self
         while k:
@@ -349,8 +347,7 @@ class EvenLaurentPoly:
         return _substitute_values(self, assignments)
 
     def _check_var(self, var: int) -> None:
-        if not 0 <= var < self.arity:
-            raise ValueError(f"variable index {var} out of range for arity {self.arity}")
+        _check_int("variable index", var, 0, self.arity)
 
     # -- canonical forms --------------------------------------------------
 
@@ -493,8 +490,7 @@ def laurent_to_series(p: EvenLaurentPoly, order: int) -> TruncatedSeries:
     to the coefficient of ``x^m``; each factor starts at x_j^1, so only
     positive vectors m with ``sum(m) <= order`` carry a coefficient.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_int("order", order, 0)
     # the numerators share one denominator, so each vector sums integers
     den = p._den
     # per exponent a, the row m -> e(a, m) for m <= order

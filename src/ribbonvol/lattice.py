@@ -66,7 +66,7 @@ from operator import itemgetter, mul
 from typing import Callable, Mapping, Sequence
 
 from ._version import __version__
-from .surface import check_stable, enumerate_splittings, perimeter_vectors, swap_classes
+from .surface import _check_int, check_stable, enumerate_splittings, perimeter_vectors, swap_classes
 
 _ZERO = Fraction(0)
 
@@ -141,8 +141,8 @@ def _perimeters(g: int, n: int, p: Sequence[int]) -> tuple:
     check_stable(g, n)
     if len(p) != n:
         raise ValueError(f"expected {n} perimeters, got {len(p)}")
-    if not all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in p):
-        raise ValueError("perimeters must be positive integers")
+    for x in p:
+        _check_int("perimeter", x, 1)
     return tuple(p)
 
 
@@ -270,8 +270,7 @@ def recursion_rhs(g: int, n: int, p: Sequence[int], pivot: int) -> Fraction:
     p = _perimeters(g, n, p)
     if (g, n) in ((0, 3), (1, 1)):
         raise ValueError(f"({g}, {n}) is a base case, not produced by the recursion")
-    if not 0 <= pivot < n:
-        raise ValueError(f"pivot must be an index in range({n}), got {pivot}")
+    _check_int("pivot", pivot, 0, n)
     if sum(p) % 2:
         return _ZERO
     rest = tuple(sorted(p[:pivot] + p[pivot + 1 :], reverse=True))
@@ -287,8 +286,7 @@ def oracle_n11(p: int) -> Fraction:
     contribute C(q-1, 2)/6 and (q-1)/4 (automorphism orders 6 and 4).
     Odd perimeters admit no graph.
     """
-    if p <= 0:
-        raise ValueError("perimeter must be positive")
+    _check_int("p", p, 1)
     if p % 2:
         return _ZERO
     q = p // 2
@@ -349,8 +347,7 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
     answered with an empty table.
     """
     check_stable(g, n)
-    if max_sum < n:
-        raise ValueError(f"max_sum must be at least n = {n}: every perimeter is positive")
+    _check_int("max_sum", max_sum, n)
     cache_dir = cache_dir or os.environ.get("RIBBONVOL_CACHE_DIR")
     path = None
     if cache_dir:

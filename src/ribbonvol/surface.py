@@ -22,6 +22,14 @@ def check_stable(g: int, n: int) -> None:
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
 
 
+def _check_int(name: str, value: int, least: int, below: int | None = None) -> None:
+    """Every integer argument's check: ``ValueError`` naming it unless it is an
+    ``int``, not a ``bool``, with ``least <= value`` (and ``value < below``)."""
+    if type(value) is not int or value < least or below is not None and value >= below:
+        bound = f"at least {least}" if below is None else f"in range({least}, {below})"
+        raise ValueError(f"{name} must be {bound} and an int, got {value!r}")
+
+
 def stable_types(max_complexity: int) -> list[tuple[int, int]]:
     """Every stable (g, n) with n >= 1 and 2g - 2 + n <= ``max_complexity``,
     ordered by complexity, then genus."""
@@ -35,6 +43,7 @@ def stable_types(max_complexity: int) -> list[tuple[int, int]]:
 def perimeter_vectors(n: int, max_sum: int, ascending: bool = False) -> Iterator[tuple]:
     """Every positive integer n-vector with sum <= ``max_sum``, in
     lexicographic order; only the nondecreasing ones when ``ascending``."""
+    _check_int("n", n, 0)
 
     def extend(k: int, budget: int, floor: int) -> Iterator[tuple]:
         if k == 0:
@@ -68,8 +77,7 @@ def enumerate_splittings(g: int, labels: Sequence, pairs: bool = False) -> list[
     form's two-point halves (genus 0, one label).  Each part keeps the
     order of ``labels``.  Both orders of each splitting appear, once if
     they are the same (equal genera, both parts empty)."""
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
+    _check_int("g", g, 0)
     pool = tuple(labels)
     if len(set(pool)) != len(pool):
         raise ValueError("labels must be distinct")

@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
-from ribbonvol.crosscheck import series_identity
+from ribbonvol.crosscheck import series_identity, verify_continuous_recursion
 from ribbonvol.eo import CURVE_LAPLACE, integrand_terms, verify_eo
-from ribbonvol.lattice import census, count, recursion_rhs
+from ribbonvol.exactmath import EvenLaurentPoly, laurent_to_series
+from ribbonvol.lattice import census, count, oracle_n11, recursion_rhs
 from ribbonvol.surface import (
     Splitting,
     enumerate_splittings,
@@ -47,6 +48,40 @@ ENTRY_POINTS = {
 def test_entry_points_reject_non_integer_types(entry, g, n):
     with pytest.raises(ValueError, match=re.escape(f"({g}, {n}) is not stable")):
         ENTRY_POINTS[entry](g, n)
+
+
+# every other integer argument goes through one check in ``surface``: a
+# float, a bool and an out-of-range int each raise a ValueError that names
+# the argument.  census(0, 4, 12.0) and its kin once raised a TypeError from
+# ``range``, oracle_n11(True) and trials=True once answered silently, and
+# perimeter_vectors(-1, 5) once recursed until RecursionError
+_POLY = EvenLaurentPoly(2, {(1, 0): 1})
+INT_ARGUMENTS = {
+    "enumerate_splittings": ("g", lambda v: enumerate_splittings(v, ()), (1.0, True, -1)),
+    "count": ("perimeter", lambda v: count(0, 3, (2, v, 2)), (2.0, True, 0)),
+    "recursion_rhs": ("pivot", lambda v: recursion_rhs(0, 4, (4, 2, 2, 2), v), (0.0, True, 4)),
+    "oracle_n11": ("p", oracle_n11, (6.0, True, 0)),
+    "census": ("max_sum", lambda v: census(0, 4, v), (12.0, True, 3)),
+    "series_identity": ("max_sum", lambda v: series_identity(0, 4, v), (12.0, True, 3)),
+    "verify_continuous_recursion": (
+        "trials", lambda v: verify_continuous_recursion(0, 4, trials=v), (2.5, True, 0)
+    ),
+    "verify_eo": ("trials", lambda v: verify_eo(CURVE_LAPLACE, 0, 4, trials=v), (2.5, True, 0)),
+    "EvenLaurentPoly": ("arity", EvenLaurentPoly, (1.0, True, -1)),
+    "__pow__": ("power", lambda v: _POLY**v, (2.0, True, -1)),
+    "_check_var": ("variable index", _POLY.t_derivative, (1.0, True, 2)),
+    "laurent_to_series": ("order", lambda v: laurent_to_series(_POLY, v), (4.0, True, -1)),
+    "perimeter_vectors": ("n", lambda v: perimeter_vectors(v, 5), (1.0, True, -1)),
+}
+
+
+@pytest.mark.parametrize(
+    "site, value", [(site, v) for site, (_, _, bad) in INT_ARGUMENTS.items() for v in bad]
+)
+def test_integer_arguments_are_checked_in_one_place(site, value):
+    name, call, _ = INT_ARGUMENTS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .* an int, got {value!r}$"):
+        call(value)
 
 
 def test_negative_genus_or_boundary_count_is_not_stable():

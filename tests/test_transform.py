@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from ribbonvol import cache_info, clear_caches
+from ribbonvol import cache_info, clear_caches, transform
+from ribbonvol.cli import main
 from ribbonvol.crosscheck import golden_laplace
 from ribbonvol.exactmath import EvenLaurentPoly
 from ribbonvol.lattice import count
@@ -290,3 +291,64 @@ def test_cache_control():
     assert info["lattice"] > 0
     clear_caches()
     assert cache_info() == {"engine": {name: 0 for name in CONFIGS}, "lattice": 0}
+
+
+# the two volume guards, fired by serving an altered V^S_{1,2} to every
+# caller of ``transform.compute``, the engine's own recursion included: the
+# tables built from it, such as (1,3) and (2,1), stay memoized, so the
+# caches are emptied before and after each case
+def _alter_vs12(monkeypatch, change):
+    real = transform.compute
+
+    def altered(config, g, n):
+        poly = real(config, g, n)
+        if config is not SYMPLECTIC or (g, n) != (1, 2):
+            return poly
+        terms = dict(poly.terms)
+        change(terms)
+        return EvenLaurentPoly(2, terms)
+
+    clear_caches()
+    monkeypatch.setattr(transform, "compute", altered)
+
+
+def _drop(terms):
+    del terms[(0, 2)]
+
+
+def _raise(terms):
+    terms[(0, 2)] += 1
+
+
+@pytest.mark.parametrize(
+    "change, intersection_error, ratio_error",
+    [
+        (_drop, "intersection-number round trip failed", "different support"),
+        (_raise, "extraction differs across orderings", "not proportional"),
+    ],
+)
+def test_the_volume_guards_fire(monkeypatch, change, intersection_error, ratio_error):
+    _alter_vs12(monkeypatch, change)
+    try:
+        with pytest.raises(ArithmeticError, match=intersection_error):
+            intersection_numbers(1, 2)
+        with pytest.raises(ArithmeticError, match=ratio_error):
+            kontsevich_ratio(1, 2)
+    finally:
+        clear_caches()
+
+
+def test_a_fired_volume_guard_fails_the_command_line(monkeypatch, capsys):
+    _alter_vs12(monkeypatch, _drop)
+    try:
+        assert main(["intersect", "1", "2"]) == 1
+        captured = capsys.readouterr()
+        assert main(["verify", "--suite", "ratio", "--level", "3"]) == 1
+        rows = capsys.readouterr().out.splitlines()
+    finally:
+        clear_caches()
+    assert captured.out == ""
+    assert captured.err == "error: (1,2): intersection-number round trip failed\n"
+    failed = [row.split()[2] for row in rows if row.startswith("FAIL")]
+    assert "VS/VE(1,2)" in failed
+    assert rows[-1] == f"{len(failed)} check(s) failed"
