@@ -47,14 +47,16 @@ def series_identity(g: int, n: int, max_sum: int) -> int:
     returns the number of lattice points checked, raises on any mismatch.
     A bound below n admits no lattice point and is rejected with
     ``ValueError`` rather than passed vacuously."""
-    from .lattice import count  # here: no other check needs the lattice recursion
+    # the recursion alone, so that L_{g,n} is checked against an independent
+    # route; imported here, since no other check needs the lattice layer
+    from .lattice import count_by_recursion
 
     _check_int("max_sum", max_sum, n)
     series = laurent_to_series(compute(LAPLACE, g, n), max_sum)
     sign = (-1) ** n
     checked = 0
     for p in perimeter_vectors(n, max_sum):
-        expected = sign * prod(p) * count(g, n, p)
+        expected = sign * prod(p) * count_by_recursion(g, n, p)
         got = series.coefficient(p)
         if got != expected:
             raise ArithmeticError(
@@ -168,6 +170,7 @@ def continuous_rhs(g: int, n: int, point: Sequence[Fraction]) -> Fraction:
 
 def sample_chamber_points(g: int, n: int, trials: int, seed: int) -> list[tuple[Fraction, ...]]:
     """Deterministic rational chamber points with p_1 strictly dominant."""
+    _check_int("trials", trials, 1)
     rng = random.Random(f"chamber:{g}:{n}:{seed}")
     points = []
     for _ in range(trials):

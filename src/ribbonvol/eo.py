@@ -198,6 +198,7 @@ def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
 def sample_spectators(curve_name: str, g: int, n: int, trials: int,
                       seed: int) -> list[tuple[Fraction, ...]]:
     """Deterministic spectator draws: distinct odd primes with random signs."""
+    _check_int("trials", trials, 1)
     rng = random.Random(f"{curve_name}:{g}:{n}:{seed}")
     draws = []
     for _ in range(trials):

@@ -276,6 +276,7 @@ class EvenLaurentPoly:
         exactly once, and nothing else, or ``ValueError`` is raised.  New
         slots that it does not name get exponent 0.
         """
+        _check_int("new_arity", new_arity, 0)
         if mapping.keys() != set(range(self.arity)):
             raise ValueError(f"slot map keys must be the slots 0..{self.arity - 1}")
         targets = list(mapping.values())

@@ -53,6 +53,25 @@ becomes a Fraction only once, when it is memoized.  The memo table is
 keyed by (g, n, sorted perimeters); since N is symmetric, any entry may
 serve as the pivot, and we always rotate the largest one into the pivot
 slot (which also kills the third, negatively signed term).
+
+A single count far from the small perimeters is not run up to p.  Write
+d = 3g - 3 + n and r_j = 2 - (p_j mod 2).  On the parity class of p, N_{g,n}
+is a polynomial of total degree at most d in p_1^2 .. p_n^2 (Norbury,
+*Counting lattice points in the moduli space of curves*, arXiv:0801.4590).
+The recursion gives its values on the lower set p = 2k + r, sum(k) <= d:
+C(d + n, n) points, with perimeter sums at most R = 2d + 2n.  A lower set
+with distinct nodes on each axis is unisolvent (Dyn and Floater,
+*Multivariate polynomial interpolation on lower sets*, J. Approx. Theory
+177 (2014)), so divided differences taken one axis at a time in
+x_j = p_j^2 give the Newton coefficients C_k, integer numerators over one
+denominator, memoized per (g, n, number of odd perimeters).  Then
+
+    N_{g,n}(p) = sum_k C_k prod_j B_j[k_j],
+    B_j[m] = prod_{i<m} (p_j^2 - (2i + r_j)^2).
+
+``count`` takes this route for an even sum past R and from nR/2 on
+(``_by_class``), and the recursion otherwise; ``count_by_recursion`` is
+the recursion alone.
 """
 
 from __future__ import annotations
@@ -61,8 +80,8 @@ import os
 import threading
 from fractions import Fraction
 from itertools import chain
-from math import comb, lcm
-from operator import itemgetter, mul
+from math import comb, gcd, lcm, prod
+from operator import getitem, itemgetter, mul
 from typing import Callable, Mapping, Sequence
 
 from ._version import __version__
@@ -77,6 +96,8 @@ _columns: dict[tuple, list] = {}
 _diagonals: dict[tuple, list] = {}
 # (g, len(rest)) -> the swap classes of splittings of g over the positions of rest
 _splittings: dict[tuple, tuple] = {}
+# (g, n, number of odd perimeters) -> (grid, Newton numerators, denominator)
+_classes: dict[tuple, tuple] = {}
 # the tables grow by check-then-append: one recursion runs at a time
 _lock = threading.Lock()
 
@@ -131,9 +152,10 @@ def _fsum(terms) -> tuple[int, int]:
 
 
 def _clear() -> None:
-    """Empty the memo, the moment tables and the splittings."""
+    """Empty the memo, the moment tables, the splittings and the class
+    polynomials."""
     with _lock:
-        for table in (_memo, _columns, _diagonals, _splittings):
+        for table in (_memo, _columns, _diagonals, _splittings, _classes):
             table.clear()
 
 
@@ -147,10 +169,83 @@ def _perimeters(g: int, n: int, p: Sequence[int]) -> tuple:
 
 
 def count(g: int, n: int, p: Sequence[int]) -> Fraction:
-    """N_{g,n}(p) for a stable (g, n) and positive integer perimeters."""
+    """N_{g,n}(p) for a stable (g, n) and positive integer perimeters: off
+    the class polynomial of p when ``_by_class`` says so, else by recursion."""
+    p = _perimeters(g, n, p)
+    with _lock:
+        if _by_class(g, n, sum(p)):
+            return _class_count(g, n, p)
+        return _N(g, n, tuple(sorted(p, reverse=True)))
+
+
+def count_by_recursion(g: int, n: int, p: Sequence[int]) -> Fraction:
+    """N_{g,n}(p) by the edge-removal recursion alone: the oracle that the
+    class polynomials are interpolated from and checked against."""
     key = tuple(sorted(_perimeters(g, n, p), reverse=True))
     with _lock:
         return _N(g, n, key)
+
+
+def _by_class(g: int, n: int, total: int) -> bool:
+    """Whether the class polynomial is the cheaper route to a count of even
+    perimeter sum ``total``: past R = 2d + 2n, the largest sum on its grid,
+    and from nR/2 on.  The grid's C(d + n, n) points are all of the class up
+    to R, while the recursion at one point reaches a thinner slice of them
+    the more boundaries there are, so the break-even sum grows with n."""
+    if total % 2 or (g, n) in ((0, 3), (1, 1)):
+        return False
+    big = 2 * (3 * g - 3 + n) + 2 * n
+    return total > big and 2 * total >= n * big
+
+
+def _class_count(g: int, n: int, p: Sequence[int]) -> Fraction:
+    """N_{g,n}(p) for an even sum(p), off the polynomial of p's parity class
+    in p_1^2 .. p_n^2, in the Newton basis of its grid; odd entries first."""
+    p = sorted(p, key=lambda x: x % 2 == 0)
+    odd = sum(x % 2 for x in p)
+    grid, nums, den = _classes.get((g, n, odd)) or _class_table(g, n, odd)
+    d = 3 * g - 3 + n
+    bases = []
+    for pj in p:
+        u, r, b = pj * pj, 2 - pj % 2, [1]
+        for i in range(d):
+            b.append(b[-1] * (u - (2 * i + r) ** 2))
+        bases.append(b)
+    return Fraction(sum(c * prod(map(getitem, bases, k)) for k, c in zip(grid, nums)), den)
+
+
+def _class_table(g: int, n: int, odd: int) -> tuple:
+    """Interpolate N_{g,n} on the class of vectors whose first ``odd``
+    entries are odd, p = 2k + r with r_j = 1 there and 2 after, from its
+    values on the lower set sum(k) <= d by divided differences one axis at
+    a time in x_j = p_j^2; kept as nonzero numerators over one denominator."""
+    d = 3 * g - 3 + n
+    r = (1,) * odd + (2,) * (n - odd)
+    # k = v - 1 over the positive vectors v with sum(v) <= d + n
+    grid = [tuple(v - 1 for v in vec) for vec in perimeter_vectors(n, d + n)]
+    values = [_N(g, n, tuple(sorted((2 * k + rj for k, rj in zip(ks, r)), reverse=True)))
+              for ks in grid]
+    den = lcm(*(v.denominator for v in values))
+    c = [v.numerator * (den // v.denominator) for v in values]
+    where = {k: i for i, k in enumerate(grid)}
+    for j in range(n):
+        x = [(2 * i + r[j]) ** 2 for i in range(d + 1)]
+        # a divided difference on nodes x_a .. x_b is a sum of values over
+        # subproducts of these, so on integers times their lcm it is an integer
+        scale = lcm(*(prod(x[t] - x[s] for s in range(d + 1) if s != t) for t in range(d + 1)))
+        c = [v * scale for v in c]
+        for k in grid:
+            if k[j] == 0:
+                line = [where[k[:j] + (m,) + k[j + 1 :]] for m in range(d - sum(k) + 1)]
+                for level in range(1, len(line)):
+                    for i in range(len(line) - 1, level - 1, -1):
+                        c[line[i]] = (c[line[i]] - c[line[i - 1]]) // (x[i] - x[i - level])
+        common = gcd(den * scale, *c)
+        c = [v // common for v in c]
+        den = den * scale // common
+    kept = [i for i, v in enumerate(c) if v]
+    _classes[(g, n, odd)] = table = ([grid[i] for i in kept], [c[i] for i in kept], den)
+    return table
 
 
 def _N(g: int, n: int, p: tuple) -> Fraction:

@@ -32,7 +32,9 @@ def _check_int(name: str, value: int, least: int, below: int | None = None) -> N
 
 def stable_types(max_complexity: int) -> list[tuple[int, int]]:
     """Every stable (g, n) with n >= 1 and 2g - 2 + n <= ``max_complexity``,
-    ordered by complexity, then genus."""
+    ordered by complexity, then genus; none for a bound below 1.  A bound
+    may be as low as -1, the least 2g - 2 + n with g >= 0 and n >= 1."""
+    _check_int("max_complexity", max_complexity, -1)
     return [
         (g, c + 2 - 2 * g)
         for c in range(1, max_complexity + 1)

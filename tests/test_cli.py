@@ -241,6 +241,21 @@ def test_verify_fast_suites(capsys):
     assert code == 0
 
 
+def test_the_series_suite_checks_against_the_recursion(capsys, monkeypatch):
+    # with the class route broken the suite stays green, so it compares
+    # L_{g,n} with the recursion; at the default level (1, 2) reaches past
+    # its grid, where ``count`` itself would take the class route
+    monkeypatch.setattr(lattice, "_class_count", _broken)
+    clear_caches()
+    code, out = run(capsys, "verify", "--suite", "series", "--format", "jsonl")
+    assert code == 0
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [doc["case"] for doc in docs] == ["series(0,3)", "series(1,1)", "series(0,4)", "series(1,2)"]
+    assert all(doc["ok"] for doc in docs)
+    with pytest.raises(ArithmeticError, match="injected"):
+        lattice.count(1, 2, (6, 6))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

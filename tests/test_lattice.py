@@ -9,13 +9,16 @@ from fractions import Fraction
 import pytest
 
 from ribbonvol import cache_info, clear_caches, lattice
+from ribbonvol.exactmath import laurent_to_series
 from ribbonvol.lattice import (
     census,
     count,
+    count_by_recursion,
     oracle_n11,
     recursion_rhs,
 )
 from ribbonvol.surface import enumerate_splittings, perimeter_vectors, stable_types
+from ribbonvol.transform import LAPLACE, compute
 
 F = Fraction
 
@@ -97,28 +100,100 @@ def test_moment_tables_answer_the_same_in_either_order():
     cold = count(2, 2, (6, 4))
     assert cold == _direct_count(2, 2, (6, 4))
     clear_caches()
-    count(2, 2, (20, 20))
+    count_by_recursion(2, 2, (20, 20))
     assert count(2, 2, (6, 4)) == cold
     # the diagonal table of (2, 2, (4,)) grown past p_1 = 6 first
-    count(2, 2, (20, 4))
+    count_by_recursion(2, 2, (20, 4))
     assert {recursion_rhs(2, 2, (6, 4), pivot) for pivot in (0, 1)} == {cold}
     # the same after every (3, 2) table has been grown, and rescaled, well past
     # what (16, 12) reads
     clear_caches()
     cold = count(3, 2, (16, 12))
     clear_caches()
-    count(3, 2, (28, 24))
+    count_by_recursion(3, 2, (28, 24))
     assert count(3, 2, (16, 12)) == cold
     assert {recursion_rhs(3, 2, (16, 12), pivot) for pivot in (0, 1)} == {cold}
 
 
 def test_deep_values_at_rescaled_tables():
-    # computed by summing every moment as a Fraction
+    # computed by summing every moment as a Fraction; each is past its class
+    # grid, so ``count`` reads it off the class polynomial
     clear_caches()
-    assert count(4, 1, (24,)) == F(6770614565, 12)
-    assert count(3, 2, (16, 12)) == F(1187977707, 4)
-    assert count(2, 3, (12, 10, 10)) == 28023716
-    assert count(3, 1, (28,)) == F(2112453915, 14)
+    for g, n, p, value in [
+        (4, 1, (24,), F(6770614565, 12)),
+        (3, 2, (16, 12), F(1187977707, 4)),
+        (2, 3, (12, 10, 10), 28023716),
+        (3, 1, (28,), F(2112453915, 14)),
+    ]:
+        assert count_by_recursion(g, n, p) == count(g, n, p) == value
+
+
+# ---------------------------------------------------------------------------
+# counts off the class polynomials: on each parity class, N_{g,n} is a
+# polynomial of degree d = 3g - 3 + n in p_1^2 .. p_n^2, interpolated from
+# the recursion on the lower set p = 2k + r, sum(k) <= d, whose largest
+# perimeter sum is R = 2d + 2n
+
+
+def _grid_bound(g, n):
+    return 2 * (3 * g - 3 + n) + 2 * n
+
+
+@pytest.mark.parametrize("g,n", stable_types(5))
+def test_class_polynomials_equal_the_recursion_past_their_grids(g, n):
+    # the class route called directly, whatever ``count`` would choose
+    bound = _grid_bound(g, n)
+    clear_caches()
+    checked = 0
+    for p in perimeter_vectors(n, bound + 12, ascending=True):
+        if sum(p) > bound and sum(p) % 2 == 0:
+            assert lattice._class_count(g, n, p) == count_by_recursion(g, n, p), p
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("g, p", [(4, 60), (5, 80)])
+def test_single_counts_equal_the_series_bridge(g, p):
+    # the coefficient of x^p in L_{g,1}(t(x)) (t^2 - 1)/2 is -p N_{g,1}(p);
+    # a cold recursion takes seconds for (4, 60) and a minute for (5, 80)
+    clear_caches()
+    series = laurent_to_series(compute(LAPLACE, g, 1), p)
+    assert count(g, 1, (p,)) == F(series.coefficient((p,)), -p)
+
+
+def test_the_class_route_reads_its_grid(monkeypatch):
+    # one grid value off by one moves the answer: the route is not vacuous
+    point, p = (3, 2, (9, 7)), (41, 39)
+    real = lattice._N
+    clear_caches()
+    honest = count(3, 2, p)
+    assert lattice._by_class(3, 2, sum(p)) and sum(point[2]) <= _grid_bound(3, 2)
+
+    def off_by_one(g, n, q):
+        value = real(g, n, q)
+        return value + 1 if (g, n, q) == point else value
+
+    monkeypatch.setattr(lattice, "_N", off_by_one)
+    clear_caches()
+    try:
+        assert count(3, 2, p) != honest
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert count(3, 2, p) == honest
+
+
+@pytest.mark.parametrize(
+    "g, n, total, routed",
+    [(0, 3, 40, False), (1, 1, 40, False), (2, 1, 11, False), (2, 1, 10, False),
+     (2, 1, 12, True), (3, 2, 22, True), (2, 3, 26, False), (2, 3, 28, True),
+     (0, 4, 18, False), (0, 4, 20, True), (1, 4, 30, False), (1, 4, 32, True),
+     (0, 9, 134, False), (0, 9, 136, True)],
+)
+def test_the_route_depends_on_the_type_and_the_total(g, n, total, routed):
+    # past R = 2(3g - 3 + n) + 2n and from nR/2 on: R = 10 for (2, 1) and
+    # (0, 4), 20 for (3, 2), 18 for (2, 3), 16 for (1, 4) and 30 for (0, 9)
+    assert lattice._by_class(g, n, total) is routed
 
 
 def test_base_cases():

@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from ribbonvol.crosscheck import series_identity, verify_continuous_recursion
-from ribbonvol.eo import CURVE_LAPLACE, integrand_terms, verify_eo
+from ribbonvol.crosscheck import sample_chamber_points, series_identity, verify_continuous_recursion
+from ribbonvol.eo import CURVE_LAPLACE, integrand_terms, sample_spectators, verify_eo
 from ribbonvol.exactmath import EvenLaurentPoly, laurent_to_series
 from ribbonvol.lattice import census, count, oracle_n11, recursion_rhs
 from ribbonvol.surface import (
@@ -53,8 +53,10 @@ def test_entry_points_reject_non_integer_types(entry, g, n):
 # every other integer argument goes through one check in ``surface``: a
 # float, a bool and an out-of-range int each raise a ValueError that names
 # the argument.  census(0, 4, 12.0) and its kin once raised a TypeError from
-# ``range``, oracle_n11(True) and trials=True once answered silently, and
-# perimeter_vectors(-1, 5) once recursed until RecursionError
+# ``range``, oracle_n11(True) and trials=True once answered silently,
+# perimeter_vectors(-1, 5) once recursed until RecursionError, a negative
+# trial count once drew nothing and substitute_slots({}, -1) once returned
+# a polynomial of arity -1
 _POLY = EvenLaurentPoly(2, {(1, 0): 1})
 INT_ARGUMENTS = {
     "enumerate_splittings": ("g", lambda v: enumerate_splittings(v, ()), (1.0, True, -1)),
@@ -72,6 +74,14 @@ INT_ARGUMENTS = {
     "_check_var": ("variable index", _POLY.t_derivative, (1.0, True, 2)),
     "laurent_to_series": ("order", lambda v: laurent_to_series(_POLY, v), (4.0, True, -1)),
     "perimeter_vectors": ("n", lambda v: perimeter_vectors(v, 5), (1.0, True, -1)),
+    "substitute_slots": (
+        "new_arity", lambda v: EvenLaurentPoly.constant(0, 3).substitute_slots({}, v), (2.0, True, -1)
+    ),
+    "stable_types": ("max_complexity", stable_types, (2.5, True, -2)),
+    "sample_spectators": (
+        "trials", lambda v: sample_spectators("laplace", 0, 4, v, 0), (2.5, True, -1)
+    ),
+    "sample_chamber_points": ("trials", lambda v: sample_chamber_points(0, 4, v, 0), (2.5, True, -1)),
 }
 
 
