@@ -192,7 +192,7 @@ def _by_class(g: int, n: int, total: int) -> bool:
     and from nR/2 on.  The grid's C(d + n, n) points are all of the class up
     to R, while the recursion at one point reaches a thinner slice of them
     the more boundaries there are, so the break-even sum grows with n."""
-    if total % 2 or (g, n) in ((0, 3), (1, 1)):
+    if total % 2:
         return False
     big = 2 * (3 * g - 3 + n) + 2 * n
     return total > big and 2 * total >= n * big

@@ -108,10 +108,10 @@ def test_moment_tables_answer_the_same_in_either_order():
     # the same after every (3, 2) table has been grown, and rescaled, well past
     # what (16, 12) reads
     clear_caches()
-    cold = count(3, 2, (16, 12))
+    cold = count_by_recursion(3, 2, (16, 12))
     clear_caches()
     count_by_recursion(3, 2, (28, 24))
-    assert count(3, 2, (16, 12)) == cold
+    assert count_by_recursion(3, 2, (16, 12)) == cold
     assert {recursion_rhs(3, 2, (16, 12), pivot) for pivot in (0, 1)} == {cold}
 
 
@@ -185,14 +185,15 @@ def test_the_class_route_reads_its_grid(monkeypatch):
 
 @pytest.mark.parametrize(
     "g, n, total, routed",
-    [(0, 3, 40, False), (1, 1, 40, False), (2, 1, 11, False), (2, 1, 10, False),
-     (2, 1, 12, True), (3, 2, 22, True), (2, 3, 26, False), (2, 3, 28, True),
+    [(0, 3, 9, False), (0, 3, 10, True), (1, 1, 4, False), (1, 1, 6, True),
+     (2, 1, 11, False), (2, 1, 10, False), (2, 1, 12, True), (3, 2, 22, True), (2, 3, 26, False), (2, 3, 28, True),
      (0, 4, 18, False), (0, 4, 20, True), (1, 4, 30, False), (1, 4, 32, True),
      (0, 9, 134, False), (0, 9, 136, True)],
 )
 def test_the_route_depends_on_the_type_and_the_total(g, n, total, routed):
-    # past R = 2(3g - 3 + n) + 2n and from nR/2 on: R = 10 for (2, 1) and
-    # (0, 4), 20 for (3, 2), 18 for (2, 3), 16 for (1, 4) and 30 for (0, 9)
+    # past R = 2(3g - 3 + n) + 2n and from nR/2 on: R = 6 for (0, 3), 4 for
+    # (1, 1), 10 for (2, 1) and (0, 4), 20 for (3, 2), 18 for (2, 3), 16 for
+    # (1, 4) and 30 for (0, 9)
     assert lattice._by_class(g, n, total) is routed
 
 
