@@ -33,12 +33,15 @@ product enters with sign -1, the pullback of ds along the involution.
 
 The whole computation is exact and even in t1, so it is done in
 ``EvenLaurentPoly`` of u = t1^2 alone.  Residues are linear in the
-numerator, so ``integrand_terms`` sums the pieces that share a pole set
-before any residue is taken.  omega is a rational function of t, so by the
-residue theorem the sum above is also the sum of its residues at t = 0 and
-t = infinity, the ramification points of x, where s(t) = -t is fixed.
-``residue_sum`` takes those: each is read off a power series, so no pole
-at +-t1 or +-a_j is visited and no polynomial is divided.
+numerator, so ``integrand_terms`` evaluates each lower F once, sums the
+pieces that share a pole set and multiplies each sum by kappa_hat once.
+omega is a rational function of t, so by the residue theorem the sum above
+is also the sum of its residues at t = 0 and t = infinity, the
+ramification points of x, where s(t) = -t is fixed.  ``residue_sum``
+takes those on integer numerators: each is read off a power series kept as
+integer rows, only the coefficients a residue keeps are formed, and every
+pole set goes over one common denominator, reduced once.  So no pole at
++-t1 or +-a_j is visited and no polynomial is divided.
 ``verify_eo`` compares the result against the recursion engine's output at
 seeded random spectator values, and checks a repeated draw once.
 """
@@ -48,9 +51,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .exactmath import EvenLaurentPoly
+from .exactmath import EvenLaurentPoly, _as_fraction, _canonical
 from .surface import _check_int, check_stable, enumerate_splittings
 from .transform import EUCLIDEAN, LAPLACE, SYMPLECTIC, RecursionConfig, compute
 
@@ -118,45 +122,52 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
     """omega(t) for F_{g,n}(t1, spectators) as {R: B_R}, summed per pole set:
     omega = sum_R t B_R(t^2) / ((t^2 - t1^2) prod_(r in R) (t - r)^2), R sorted.
     B_R is in u = t^2 and may carry negative powers (t = 0 is not on the
-    contour).  Every root comes from a pair part, so its pole is double."""
+    contour).  Every root comes from a pair part, so its pole is double.
+    Spectators are exact rationals (``int``, ``Fraction`` or ``str``)."""
     check_stable(g, n)
-    a = [Fraction(v) for v in spectators]
+    a = [_as_fraction(v) for v in spectators]
     if len(a) != n - 1:
         raise ValueError(f"expected {n - 1} spectator values, got {len(a)}")
     if any(v == 0 for v in a) or len({abs(v) for v in a}) != len(a):
         raise ValueError("spectator values must be nonzero with distinct magnitudes")
     w = curve.pair_weight
-
-    # the kernel's numerator is -t kappa_hat(t), less the factor t every piece
-    # keeps; its sign cancels the sign -1 of every bracket product
-    kappa_hat = curve.kappa_hat
+    splittings = enumerate_splittings(g, range(n - 1), pairs=True)
+    # each lower F at its spectators, once: F is even in t, so the halves at
+    # +t and -t of a splitting and of its swap share it; the rest are pairs
+    halves = {(gp, labels): compute(curve.config, gp, len(labels) + 1).partial_evaluate(
+                  {i + 1: a[j] for i, j in enumerate(labels)})
+              for sp in splittings for gp, labels in (sp[:2], sp[2:]) if gp or len(labels) != 1}
     pieces: dict[tuple[Fraction, ...], list[EvenLaurentPoly]] = {}
     if (g, n) == (1, 1):  # F_{0,2} is the pair kernel at the diagonal
-        pieces[()] = [EvenLaurentPoly.monomial(1, (-1,), w / 4) * kappa_hat]
+        pieces[()] = [EvenLaurentPoly.monomial(1, (-1,), w / 4)]
     elif g >= 1:
         q = compute(curve.config, g - 1, n + 1)
-        q = q.partial_evaluate({i + 2: a[i] for i in range(n - 1)})
-        pieces[()] = [q.diagonal_merge(0, 1) * kappa_hat]
-    for g1, part1, g2, part2 in enumerate_splittings(g, range(n - 1), pairs=True):
-        num, scale, poles = kappa_hat, Fraction(1), []
-        for gp, labels, sign in ((g1, part1, 1), (g2, part2, -1)):
-            if gp == 0 and len(labels) == 1:
-                scale *= w
-                poles.append(-sign * a[labels[0]])
+        pieces[()] = [q.partial_evaluate({i + 2: a[i] for i in range(n - 1)}).diagonal_merge(0, 1)]
+    for g1, part1, g2, part2 in splittings:
+        num, poles = None, []
+        for half, sign in (((g1, part1), 1), ((g2, part2), -1)):
+            if half in halves:
+                num = halves[half] if num is None else num * halves[half]
             else:
-                part = compute(curve.config, gp, len(labels) + 1)
-                num = num * part.partial_evaluate({i + 1: a[j] for i, j in enumerate(labels)})
-        pieces.setdefault(tuple(sorted(poles)), []).append(num * scale)
-    return {poles: EvenLaurentPoly.sum(1, nums) for poles, nums in pieces.items()}
+                poles.append(-sign * a[half[1][0]])
+        pieces.setdefault(tuple(sorted(poles)), []).append(
+            EvenLaurentPoly.constant(1, 1) if num is None else num)
+    # the kernel's numerator is -t kappa_hat(t), less the factor t every piece
+    # keeps; its sign cancels the sign -1 of every bracket product, and each
+    # root (a splitting leaves at most two) brings one pair weight w
+    kappa_hat = curve.kappa_hat
+    kernels = [kappa_hat * w**k for k in range(3)]
+    return {poles: EvenLaurentPoly.sum(1, nums) * kernels[len(poles)]
+            for poles, nums in pieces.items()}
 
 
 # ---------------------------------------------------------------------------
 # residue extraction
 
 
-def _inverse_square_series(roots: Sequence[Fraction], top: int) -> list[Fraction]:
-    """[x^(2j)] prod_(c in roots) (1 - c x)^-2 for j = 0..top (none if top < 0)."""
-    # in integers: the x^m coefficient times d^m, d the roots' common denominator
+def _inverse_square_series(roots: Sequence[Fraction], top: int) -> list[int]:
+    """[x^(2j)] prod_(c in roots) (1 - c x)^-2 times d^(2j), d the roots'
+    common denominator, for j = 0..top (none if top < 0): integer rows."""
     d = lcm(*(c.denominator for c in roots))
     coeffs = [1] + [0] * (2 * top)
     for c in roots:
@@ -164,7 +175,13 @@ def _inverse_square_series(roots: Sequence[Fraction], top: int) -> list[Fraction
         for _ in range(2):  # times (1 - c x)^-1: a running sum
             for m in range(1, len(coeffs)):
                 coeffs[m] += step * coeffs[m - 1]
-    return [Fraction(c, d ** (2 * j)) for j, c in enumerate(coeffs[: 2 * top + 1 : 2])]
+    return coeffs[: 2 * top + 1 : 2]
+
+
+def _common_rows(roots: Sequence[Fraction], top: int) -> tuple[list[int], int]:
+    """``_inverse_square_series`` as numerators over one denominator d^(2 top)."""
+    d2 = lcm(*(c.denominator for c in roots)) ** 2
+    return [c * d2 ** (top - j) for j, c in enumerate(_inverse_square_series(roots, top))], d2**top
 
 
 def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
@@ -180,19 +197,33 @@ def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
     is the part with the other powers of -B(u) u^-|R| P_inf(1/u),
     P_inf(v) = sum_j [x^2j] prod_r (1 - r x)^-2 v^j.  Both are linear in B,
     so each product is summed over R before its part is kept.
+
+    It runs on integers: B as its numerators b_k, each series as integer
+    rows (the x^2j coefficient times d^2j, d the roots' common denominator),
+    and only the kept coefficients are formed; every residue then goes over
+    one common denominator, and the result is reduced once.
     """
-    at_zero, at_infinity = [], []
+    parts = []  # (exponent of u -> integer numerator, denominator) per residue
     for poles, num in integrand_terms(curve, g, n, spectators).items():
-        (low,), (high,) = min(num.terms), max(num.terms)
-        scale = Fraction(-1) / prod(r * r for r in poles)
-        series = _inverse_square_series([1 / r for r in poles], -1 - low)
-        at_zero.append(num * EvenLaurentPoly(1, {(j,): scale * c for j, c in enumerate(series)}))
-        series = _inverse_square_series(poles, high - len(poles))
-        at_infinity.append(num * EvenLaurentPoly(1, {(-len(poles) - j,): -c
-                                                     for j, c in enumerate(series)}))
-    zero, infinity = EvenLaurentPoly.sum(1, at_zero), EvenLaurentPoly.sum(1, at_infinity)
-    return EvenLaurentPoly(1, {**{e: c for e, c in zero.terms.items() if e[0] < 0},
-                               **{e: c for e, c in infinity.terms.items() if e[0] >= 0}})
+        # b_k for low <= k <= high, widened to hold 0 so every slice below
+        # starts inside b
+        low, high = min(min(num._num)[0], 0), max(max(num._num)[0], 0)
+        b = [num._num.get((k,), 0) for k in range(low, high + 1)]
+        if low < 0:  # at t = 0: u^m for m < 0, from b_(m-j) row_j
+            rows, d = _common_rows([1 / r for r in poles], -1 - low)
+            scale = prod(r.denominator for r in poles) ** 2
+            kept = {m: scale * sum(map(mul, b[m - low::-1], rows)) for m in range(low, 0)}
+            parts.append((kept, d * prod(r.numerator for r in poles) ** 2 * num._den))
+        if high >= len(poles):  # at t = infinity: u^m for m >= 0, from b_(m+|R|+j) row_j
+            rows, d = _common_rows(poles, high - len(poles))
+            kept = {m: sum(map(mul, b[m + len(poles) - low:], rows)) for m in range(len(rows))}
+            parts.append((kept, d * num._den))
+    den = lcm(*(d for _, d in parts))
+    out: dict[tuple[int], int] = {}
+    for coeffs, d in parts:
+        for m, c in coeffs.items():
+            out[m,] = out.get((m,), 0) - c * (den // d)
+    return _canonical(1, out, den)
 
 
 def sample_spectators(curve_name: str, g: int, n: int, trials: int,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -296,3 +297,46 @@ def test_residue_sum_matches_the_separate_residues():
     for curve, g, n, spect in cases:
         got = residue_sum(curve, g, n, spect)
         assert got == _oracle_residue_sum(curve, g, n, spect), (curve.name, g, n, spect)
+
+
+def test_residue_sum_at_non_integer_spectators():
+    # every other residue test draws integer spectators, so the series at
+    # t = infinity always has d = 1; here both residues carry denominators
+    pool = (F(3, 2), F(-5, 7), F(11, 3), F(-2, 9), F(13, 5))
+    for curve in CURVES.values():
+        for g, n in stable_types(4):
+            spect = pool[: n - 1]
+            got = residue_sum(curve, g, n, spect)
+            assert got == _oracle_residue_sum(curve, g, n, spect), (curve.name, g, n)
+            target = compute(curve.config, g, n).partial_evaluate(
+                {j + 1: v for j, v in enumerate(spect)})
+            assert got == target, (curve.name, g, n)
+
+
+def test_inverse_square_series_rows_are_scaled_coefficients():
+    # row j is [x^2j] prod_c (1 - c x)^-2 times d^2j, d the roots' common
+    # denominator; the reference multiplies out (1 - c x)^-2 = sum (k+1) c^k x^k
+    for roots in ([], [F(3, 2)], [F(-5, 7), F(2, 3)], [F(1, 4), F(-1, 4), F(7)]):
+        d = lcm(*(c.denominator for c in roots))
+        for top in (-1, 0, 1, 4):
+            full = [F(1)] + [F(0)] * (2 * top)
+            for c in roots:
+                factor = [(k + 1) * c**k for k in range(len(full))]
+                full = [sum(full[i] * factor[m - i] for i in range(m + 1))
+                        for m in range(len(full))]
+            rows = eo._inverse_square_series(roots, top)
+            assert len(rows) == max(top + 1, 0), (roots, top)
+            assert all(type(row) is int for row in rows)
+            assert [F(row, d ** (2 * j)) for j, row in enumerate(rows)] == full[::2][: top + 1]
+
+
+def test_spectators_must_be_exact_rationals():
+    # a float would carry a binary fraction into an exact check; the engine's
+    # own evaluation refuses it with the same error
+    with pytest.raises(TypeError, match="exact rational, got float"):
+        residue_sum(CURVE_LAPLACE, 0, 3, (0.5, 3.0))
+    with pytest.raises(TypeError, match="exact rational, got float"):
+        compute(LAPLACE, 0, 3).partial_evaluate({1: 0.5, 2: 3.0})
+    exact = residue_sum(CURVE_LAPLACE, 0, 3, (F(1, 2), F(3)))
+    assert residue_sum(CURVE_LAPLACE, 0, 3, ("1/2", 3)) == exact
+    assert exact == compute(LAPLACE, 0, 3).partial_evaluate({1: F(1, 2), 2: F(3)})
