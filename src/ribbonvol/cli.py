@@ -104,9 +104,8 @@ def _cmd_count(args, parser) -> int:
         import json
         print(json.dumps(table.to_json_dict(), indent=2, sort_keys=True))
     else:
-        sys.stdout.write("".join(
-            f"{' '.join(map(str, p))}\t{v.numerator}/{v.denominator}\n" for p, v in table.rows()
-        ))
+        rows = table.to_json_dict()["entries"]
+        sys.stdout.write("".join(f"{' '.join(map(str, p))}\t{text}\n" for p, text in rows))
     return 0
 
 

@@ -71,7 +71,9 @@ denominator, memoized per (g, n, number of odd perimeters).  Then
 
 ``count`` takes this route for an even sum past R and from nR/2 on
 (``_by_class``), and the recursion otherwise; ``count_by_recursion`` is
-the recursion alone.
+the recursion alone.  A ``census`` up to a bound holds every grid, so it
+takes the route for every even sum past R, in one pass, and keeps each
+value as the ``"num/den"`` text its cache file holds.
 """
 
 from __future__ import annotations
@@ -198,20 +200,23 @@ def _by_class(g: int, n: int, total: int) -> bool:
     return total > big and 2 * total >= n * big
 
 
-def _class_count(g: int, n: int, p: Sequence[int]) -> Fraction:
+def _class_count(g: int, n: int, p: Sequence[int], bases: dict | None = None) -> Fraction:
     """N_{g,n}(p) for an even sum(p), off the polynomial of p's parity class
-    in p_1^2 .. p_n^2, in the Newton basis of its grid; odd entries first."""
-    p = sorted(p, key=lambda x: x % 2 == 0)
-    odd = sum(x % 2 for x in p)
-    grid, nums, den = _classes.get((g, n, odd)) or _class_table(g, n, odd)
+    in p_1^2 .. p_n^2, in the Newton basis of its grid; odd entries first.
+    ``bases`` keeps each perimeter's row B[0..d] for the next call."""
+    odd = [x for x in p if x % 2]
+    p = odd + [x for x in p if not x % 2]
+    grid, nums, den = _classes.get((g, n, len(odd))) or _class_table(g, n, len(odd))
     d = 3 * g - 3 + n
-    bases = []
+    bases = {} if bases is None else bases
     for pj in p:
-        u, r, b = pj * pj, 2 - pj % 2, [1]
-        for i in range(d):
-            b.append(b[-1] * (u - (2 * i + r) ** 2))
-        bases.append(b)
-    return Fraction(sum(c * prod(map(getitem, bases, k)) for k, c in zip(grid, nums)), den)
+        if pj not in bases:
+            u, r, b = pj * pj, 2 - pj % 2, [1]
+            for i in range(d):
+                b.append(b[-1] * (u - (2 * i + r) ** 2))
+            bases[pj] = b
+    rows = [bases[pj] for pj in p]
+    return Fraction(sum(c * prod(map(getitem, rows, k)) for k, c in zip(grid, nums)), den)
 
 
 def _class_table(g: int, n: int, odd: int) -> tuple:
@@ -394,15 +399,27 @@ def oracle_n11(p: int) -> Fraction:
 
 class CountTable:
     """All counts for one (g, n) with total perimeter up to ``max_sum``,
-    keyed by nondecreasing perimeter tuples."""
+    keyed by nondecreasing perimeter tuples.  The rows are kept in vector
+    order as the cache writer's reduced ``"num/den"`` text, which the CSV
+    and JSON forms print as is; ``entries`` is built from them on first use."""
 
-    __slots__ = ("g", "n", "max_sum", "entries")
+    __slots__ = ("g", "n", "max_sum", "_text", "_entries")
 
     def __init__(self, g: int, n: int, max_sum: int, entries: Mapping[tuple, Fraction]):
-        self.g = g
-        self.n = n
-        self.max_sum = max_sum
-        self.entries = dict(entries)
+        self.g, self.n, self.max_sum, self._entries = g, n, max_sum, dict(entries)
+        self._text = [(p, f"{v.numerator}/{v.denominator}") for p, v in sorted(self._entries.items())]
+
+    @classmethod
+    def _of_text(cls, g: int, n: int, max_sum: int, text: list[tuple[tuple, str]]) -> CountTable:
+        table = cls.__new__(cls)
+        table.g, table.n, table.max_sum, table._text, table._entries = g, n, max_sum, text, None
+        return table
+
+    @property
+    def entries(self) -> dict[tuple, Fraction]:
+        if self._entries is None:
+            self._entries = {p: Fraction(text) for p, text in self._text}
+        return self._entries
 
     def rows(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self.entries.items())
@@ -411,8 +428,7 @@ class CountTable:
         header = ["g", "n"] + [f"p_{j + 1}" for j in range(self.n)] + ["numerator", "denominator"]
         lines = [",".join(header)]
         lines += [
-            f"{self.g},{self.n},{','.join(map(str, p))},{v.numerator},{v.denominator}"
-            for p, v in self.rows()
+            f"{self.g},{self.n},{','.join(map(str, p))},{text.replace('/', ',')}" for p, text in self._text
         ]
         return "\n".join(lines) + "\n"
 
@@ -423,23 +439,25 @@ class CountTable:
             "g": self.g,
             "n": self.n,
             "max_sum": self.max_sum,
-            "entries": [
-                [list(p), f"{v.numerator}/{v.denominator}"] for p, v in self.rows()
-            ],
+            "entries": [[list(p), text] for p, text in self._text],
         }
 
 
 def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountTable:
-    """Tabulate N_{g,n} over every perimeter vector with sum <= max_sum.
+    """Tabulate N_{g,n} over every perimeter vector with sum <= max_sum, in
+    one pass under one lock: an odd total is 0, a total up to R = 2d + 2n
+    comes from the recursion and one past R off its class polynomial (the
+    table holds every grid anyway), with each perimeter's base row kept for
+    the whole table.  The values are kept as their ``"num/den"`` text.
 
     When ``cache_dir`` (or the RIBBONVOL_CACHE_DIR environment variable)
     is set, the table is read from / written to a JSON file addressed by
-    (g, n, max_sum); a file is used only if the table read from it writes
-    back the same document (``_load_cache``), and is otherwise recomputed
-    and replaced.  The directory is made before anything is computed; an
-    unusable one raises ``OSError`` (``NotADirectoryError`` for a file).
-    A ``max_sum`` below ``n`` admits no vector and is rejected rather than
-    answered with an empty table.
+    (g, n, max_sum); a file is used, its text as the rows, only if it is
+    field by field the writer's document (``_load_cache``), and is
+    otherwise recomputed and replaced.  The directory is made before
+    anything is computed; an unusable one raises ``OSError``
+    (``NotADirectoryError`` for a file).  A ``max_sum`` below ``n`` admits
+    no vector and is rejected rather than answered with an empty table.
     """
     check_stable(g, n)
     _check_int("max_sum", max_sum, n)
@@ -456,8 +474,16 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
         table = _load_cache(path, g, n, max_sum)
         if table is not None:
             return table
-    entries = {p: count(g, n, p) for p in perimeter_vectors(n, max_sum, ascending=True)}
-    table = CountTable(g, n, max_sum, entries)
+    big, bases, text = 2 * (3 * g - 3 + n) + 2 * n, {}, []
+    with _lock:
+        for p in perimeter_vectors(n, max_sum, ascending=True):
+            total = sum(p)
+            if total % 2:
+                text.append((p, "0/1"))
+                continue
+            v = _N(g, n, p[::-1]) if total <= big else _class_count(g, n, p, bases)
+            text.append((p, f"{v.numerator}/{v.denominator}"))
+    table = CountTable._of_text(g, n, max_sum, text)
     if path:
         _write_cache(path, table)
     return table
@@ -482,20 +508,25 @@ def _write_cache(path: str, table: CountTable) -> None:
 
 
 def _load_cache(path, g, n, max_sum):
-    """The table in ``path``, or None unless its values, one per vector of the table in order,
-    build a table whose ``to_json_dict()`` equals the decoded file and its every number is an
-    ``int``: ``==`` alone takes a ``true`` or ``6.0`` where the writer puts ``1`` or ``6``."""
+    """The table in ``path``, its text taken as the rows, or None unless the
+    decoded file is field by field the writer's document: exactly its six
+    keys, one ``[vector, "a/b"]`` pair per vector of the table in order,
+    each text the reduced ``f"{a}/{b}"`` with b > 0, and every number an
+    ``int``, as ``==`` alone takes a ``true`` or ``6.0`` for ``1`` or ``6``."""
     import json
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        vectors = perimeter_vectors(n, max_sum, ascending=True)
-        entries = {}
-        for p, (_, value) in zip(vectors, doc["entries"], strict=True):
-            num, den = value.split("/")
-            entries[p] = Fraction(int(num), int(den))
-        numbers = chain((doc["g"], doc["n"], doc["max_sum"]), *map(itemgetter(0), doc["entries"]))
-    except (OSError, ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError):
+        head = [doc["format"], doc["version"], doc["g"], doc["n"], doc["max_sum"]]
+        if len(doc) != 6 or head != ["ribbonvol-census", __version__, g, n, max_sum]:
+            return None
+        text = []
+        for p, (vector, value) in zip(perimeter_vectors(n, max_sum, ascending=True), doc["entries"], strict=True):
+            num, den = map(int, value.split("/"))
+            if tuple(vector) != p or den <= 0 or gcd(num, den) != 1 or f"{num}/{den}" != value:
+                return None
+            text.append((p, value))
+        numbers = chain(head[2:], *map(itemgetter(0), doc["entries"]))
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
         return None
-    table = CountTable(g, n, max_sum, entries)
-    return table if table.to_json_dict() == doc and set(map(type, numbers)) == {int} else None
+    return CountTable._of_text(g, n, max_sum, text) if set(map(type, numbers)) == {int} else None

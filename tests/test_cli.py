@@ -76,6 +76,15 @@ def test_count_census_ignores_a_malformed_cache(capsys, tmp_path):
         assert run(capsys, *argv) == (0, expected)
 
 
+def test_count_census_recomputes_a_cache_too_deep_to_decode(capsys, tmp_path):
+    # the decoder gives up on this file with a RecursionError
+    argv = ["count", "--gn", "0,3", "--max-sum", "6", "--cache-dir", str(tmp_path)]
+    target = tmp_path / "census-g0-n3-P6.json"
+    target.write_text("[" * 200000 + "]" * 200000)
+    assert run(capsys, *argv) == run(capsys, *argv[:-2])
+    assert json.loads(target.read_text())["format"] == "ribbonvol-census"
+
+
 def test_count_census_cache_dir_that_is_a_file(capsys, tmp_path):
     path = tmp_path / "a-file"
     path.write_text("")
@@ -94,7 +103,8 @@ def test_count_census_unusable_cache_dir_fails_first(capsys, monkeypatch, tmp_pa
     def no_counting(*args):
         raise AssertionError("a count was computed for an unusable cache directory")
 
-    monkeypatch.setattr(lattice, "count", no_counting)
+    monkeypatch.setattr(lattice, "_N", no_counting)
+    monkeypatch.setattr(lattice, "_class_table", no_counting)
     with pytest.raises(SystemExit) as err:
         main(["count", "--gn", "0,4", "--max-sum", "12", "--cache-dir", cache_dir])
     assert err.value.code == 2

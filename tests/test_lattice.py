@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonvol import cache_info, clear_caches, lattice
+from ribbonvol import __version__, cache_info, clear_caches, lattice
 from ribbonvol.exactmath import laurent_to_series
 from ribbonvol.lattice import (
+    CountTable,
     census,
     count,
     count_by_recursion,
@@ -358,8 +359,30 @@ def test_census_rows_and_csv():
     assert "0,3,2,2,2,1,1" in lines
 
 
+@pytest.mark.parametrize("g,n", stable_types(5))
+def test_census_past_its_grids_equals_the_recursion(g, n):
+    # R + 8 takes every parity class past its grid, and also the even totals
+    # from R to nR/2 that a single count leaves to the recursion
+    bound = _grid_bound(g, n) + 8
+    clear_caches()
+    table = census(g, n, bound)
+    expected = {p: count_by_recursion(g, n, p) for p in perimeter_vectors(n, bound, ascending=True)}
+    assert table.entries == expected and list(table.entries) == list(expected)
+    # a table built from Fractions prints what the census's text rows print
+    rebuilt = CountTable(g, n, bound, expected)
+    assert rebuilt.rows() == table.rows()
+    assert rebuilt.csv_text() == table.csv_text()
+    assert rebuilt.to_json_dict() == table.to_json_dict()
+
+
 def _no_counting(*args):
     raise AssertionError("a warm census read computed a count")
+
+
+def _forbid_counting(patch):
+    # a census counts through the recursion and the class tables alone
+    for name in ("_N", "_class_table"):
+        patch.setattr(lattice, name, _no_counting)
 
 
 def test_census_cache_round_trip(tmp_path, monkeypatch):
@@ -373,12 +396,29 @@ def test_census_cache_round_trip(tmp_path, monkeypatch):
     assert doc["format"] == "ribbonvol-census"
     indented = json.dumps(doc, indent=0, sort_keys=True)  # the layout of earlier releases
     # the warm read is the file alone: no count is computed, nothing is rewritten
-    monkeypatch.setattr(lattice, "count", _no_counting)
+    _forbid_counting(monkeypatch)
     for text in (indented, written):
         files[0].write_text(text)
         second = census(1, 1, 10, cache_dir=str(tmp_path))
         assert first.entries == second.entries
         assert files[0].read_text() == text
+
+
+def test_census_cache_written_from_fractions_loads_as_a_hit(tmp_path, monkeypatch):
+    # the compact document as written when every row was formatted from its
+    # Fraction, here the recursion's, sorted by vector
+    values = {p: count_by_recursion(0, 4, p) for p in perimeter_vectors(4, 14, ascending=True)}
+    doc = {
+        "format": "ribbonvol-census", "version": __version__, "g": 0, "n": 4, "max_sum": 14,
+        "entries": [[list(p), f"{v.numerator}/{v.denominator}"] for p, v in sorted(values.items())],
+    }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    target = tmp_path / "census-g0-n4-P14.json"
+    target.write_text(text)
+    _forbid_counting(monkeypatch)
+    table = census(0, 4, 14, cache_dir=str(tmp_path))
+    assert table.to_json_dict() == doc and table.entries == values
+    assert target.read_text() == text
 
 
 def test_census_cache_ignores_foreign_files(tmp_path):
@@ -478,7 +518,8 @@ def test_census_cache_dir_that_cannot_be_named_fails_before_counting(monkeypatch
     def no_counting(*args):
         raise AssertionError("a count was computed for an unusable cache directory")
 
-    monkeypatch.setattr(lattice, "count", no_counting)
+    monkeypatch.setattr(lattice, "_N", no_counting)
+    monkeypatch.setattr(lattice, "_class_table", no_counting)
     with pytest.raises(OSError, match="embedded null byte"):
         census(0, 4, 12, cache_dir="bad\0path")
 
@@ -529,7 +570,7 @@ def test_concurrent_census_writers_share_no_file(tmp_path, monkeypatch):
         # nothing left behind but the table, and the table loads as written
         assert os.listdir(tmp_path) == [target.name]
         with monkeypatch.context() as patch:
-            patch.setattr(lattice, "count", _no_counting)
+            _forbid_counting(patch)
             assert census(1, 2, 16, cache_dir=str(tmp_path)).entries == expected
         target.unlink()
 
