@@ -71,9 +71,9 @@ denominator, memoized per (g, n, number of odd perimeters).  Then
 
 ``count`` takes this route for an even sum past R and from nR/2 on
 (``_by_class``), and the recursion otherwise; ``count_by_recursion`` is
-the recursion alone.  A ``census`` up to a bound holds every grid, so it
-takes the route for every even sum past R, in one pass, and keeps each
-value as the ``"num/den"`` text its cache file holds.
+the recursion alone.  A ``census`` holds every grid, so it takes the route
+for every even sum past R and asks ``count`` for those up to R, keeping
+each value as the ``"num/den"`` text of its cache file.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ _splittings: dict[tuple, tuple] = {}
 # (g, n, number of odd perimeters) -> (grid, Newton numerators, denominator)
 _classes: dict[tuple, tuple] = {}
 # the tables grow by check-then-append: one recursion runs at a time
-_lock = threading.Lock()
+_lock = threading.RLock()  # reentrant: ``census`` calls ``count`` under it
 
 
 # A moment table is [term, a, A0, A1, den]: the sequence a(k) = term(k),
@@ -196,14 +196,17 @@ def _by_class(g: int, n: int, total: int) -> bool:
     the more boundaries there are, so the break-even sum grows with n."""
     if total % 2:
         return False
-    big = 2 * (3 * g - 3 + n) + 2 * n
+    big = _grid_bound(g, n)
     return total > big and 2 * total >= n * big
 
 
+def _grid_bound(g: int, n: int) -> int:
+    return 2 * (3 * g - 3 + n) + 2 * n  # R = 2d + 2n, the largest sum on a class grid
+
+
 def _class_count(g: int, n: int, p: Sequence[int], bases: dict | None = None) -> Fraction:
-    """N_{g,n}(p) for an even sum(p), off the polynomial of p's parity class
-    in p_1^2 .. p_n^2, in the Newton basis of its grid; odd entries first.
-    ``bases`` keeps each perimeter's row B[0..d] for the next call."""
+    """N_{g,n}(p) for an even sum(p), off p's parity-class polynomial in the
+    p_j^2 (Newton basis); ``bases`` keeps each perimeter's row B[0..d]."""
     odd = [x for x in p if x % 2]
     p = odd + [x for x in p if not x % 2]
     grid, nums, den = _classes.get((g, n, len(odd))) or _class_table(g, n, len(odd))
@@ -399,9 +402,8 @@ def oracle_n11(p: int) -> Fraction:
 
 class CountTable:
     """All counts for one (g, n) with total perimeter up to ``max_sum``,
-    keyed by nondecreasing perimeter tuples.  The rows are kept in vector
-    order as the cache writer's reduced ``"num/den"`` text, which the CSV
-    and JSON forms print as is; ``entries`` is built from them on first use."""
+    keyed by nondecreasing perimeter tuples, kept in vector order as reduced
+    ``"num/den"`` text that CSV and JSON print as is; ``entries`` on first use."""
 
     __slots__ = ("g", "n", "max_sum", "_text", "_entries")
 
@@ -445,10 +447,10 @@ class CountTable:
 
 def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountTable:
     """Tabulate N_{g,n} over every perimeter vector with sum <= max_sum, in
-    one pass under one lock: an odd total is 0, a total up to R = 2d + 2n
-    comes from the recursion and one past R off its class polynomial (the
-    table holds every grid anyway), with each perimeter's base row kept for
-    the whole table.  The values are kept as their ``"num/den"`` text.
+    one pass under one lock: an odd total is 0, an even one up to R = 2d + 2n
+    comes from ``count`` (the recursion there) and one past R off its class
+    polynomial, each perimeter's base row kept for the whole table.  Values
+    are kept as ``"num/den"`` text; a table read from its cache calls no ``count``.
 
     When ``cache_dir`` (or the RIBBONVOL_CACHE_DIR environment variable)
     is set, the table is read from / written to a JSON file addressed by
@@ -474,14 +476,13 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
         table = _load_cache(path, g, n, max_sum)
         if table is not None:
             return table
-    big, bases, text = 2 * (3 * g - 3 + n) + 2 * n, {}, []
+    big, bases, text = _grid_bound(g, n), {}, []
     with _lock:
         for p in perimeter_vectors(n, max_sum, ascending=True):
-            total = sum(p)
-            if total % 2:
+            if (total := sum(p)) % 2:
                 text.append((p, "0/1"))
                 continue
-            v = _N(g, n, p[::-1]) if total <= big else _class_count(g, n, p, bases)
+            v = count(g, n, p) if total <= big else _class_count(g, n, p, bases)
             text.append((p, f"{v.numerator}/{v.denominator}"))
     table = CountTable._of_text(g, n, max_sum, text)
     if path:
@@ -508,11 +509,10 @@ def _write_cache(path: str, table: CountTable) -> None:
 
 
 def _load_cache(path, g, n, max_sum):
-    """The table in ``path``, its text taken as the rows, or None unless the
-    decoded file is field by field the writer's document: exactly its six
-    keys, one ``[vector, "a/b"]`` pair per vector of the table in order,
-    each text the reduced ``f"{a}/{b}"`` with b > 0, and every number an
-    ``int``, as ``==`` alone takes a ``true`` or ``6.0`` for ``1`` or ``6``."""
+    """The table in ``path``, its text as the rows, or None unless the decoded
+    file is field by field the writer's: its six keys, one ``[vector, "a/b"]``
+    per vector in order, each the reduced ``f"{a}/{b}"`` with b > 0, and every
+    number an ``int``, as ``==`` alone takes ``true`` or ``6.0`` for 1 or 6."""
     import json
     try:
         with open(path, encoding="utf-8") as fh:

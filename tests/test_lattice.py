@@ -136,14 +136,10 @@ def test_deep_values_at_rescaled_tables():
 # perimeter sum is R = 2d + 2n
 
 
-def _grid_bound(g, n):
-    return 2 * (3 * g - 3 + n) + 2 * n
-
-
 @pytest.mark.parametrize("g,n", stable_types(5))
 def test_class_polynomials_equal_the_recursion_past_their_grids(g, n):
     # the class route called directly, whatever ``count`` would choose
-    bound = _grid_bound(g, n)
+    bound = lattice._grid_bound(g, n)
     clear_caches()
     checked = 0
     for p in perimeter_vectors(n, bound + 12, ascending=True):
@@ -168,7 +164,7 @@ def test_the_class_route_reads_its_grid(monkeypatch):
     real = lattice._N
     clear_caches()
     honest = count(3, 2, p)
-    assert lattice._by_class(3, 2, sum(p)) and sum(point[2]) <= _grid_bound(3, 2)
+    assert lattice._by_class(3, 2, sum(p)) and sum(point[2]) <= lattice._grid_bound(3, 2)
 
     def off_by_one(g, n, q):
         value = real(g, n, q)
@@ -363,7 +359,7 @@ def test_census_rows_and_csv():
 def test_census_past_its_grids_equals_the_recursion(g, n):
     # R + 8 takes every parity class past its grid, and also the even totals
     # from R to nR/2 that a single count leaves to the recursion
-    bound = _grid_bound(g, n) + 8
+    bound = lattice._grid_bound(g, n) + 8
     clear_caches()
     table = census(g, n, bound)
     expected = {p: count_by_recursion(g, n, p) for p in perimeter_vectors(n, bound, ascending=True)}
@@ -380,9 +376,22 @@ def _no_counting(*args):
 
 
 def _forbid_counting(patch):
-    # a census counts through the recursion and the class tables alone
-    for name in ("_N", "_class_table"):
+    # a census counts through ``count``, the recursion and the class tables alone
+    for name in ("count", "_N", "_class_table"):
         patch.setattr(lattice, name, _no_counting)
+
+
+def test_census_asks_count_up_to_its_grid_bound_and_only_when_computing(tmp_path, monkeypatch):
+    # a table computed calls ``count`` for each even total up to R and reads
+    # the rest off the classes; a table read from its cache calls none
+    # (perfbench's tracer scores a census with no ``count`` inside as a hit)
+    asked, real = [], lattice.count
+    monkeypatch.setattr(lattice, "count", lambda g, n, p: asked.append(p) or real(g, n, p))
+    cold = census(0, 4, 16, cache_dir=str(tmp_path))
+    bound = lattice._grid_bound(0, 4)
+    assert asked == [p for p in perimeter_vectors(4, 16, ascending=True) if sum(p) <= bound and sum(p) % 2 == 0]
+    asked.clear()
+    assert census(0, 4, 16, cache_dir=str(tmp_path)).entries == cold.entries and asked == []
 
 
 def test_census_cache_round_trip(tmp_path, monkeypatch):
