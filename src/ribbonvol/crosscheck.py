@@ -11,20 +11,27 @@
 
       c * prod t_j^{2 a_j}   <-->   c * (-1)^n prod 2^{2a_j + 1}/(2a_j + 1)! * prod p_j^{2 a_j}
 
-* ``verify_continuous_recursion`` -- v^S satisfies an integral recursion;
-  in the chamber p_1 > p_j (all j >= 2) it reads
+* ``continuous_rhs`` / ``verify_continuous_recursion`` -- v^S satisfies an
+  integral recursion; in the chamber p_1 > p_j (all j >= 2) it reads
 
       p_1 v_{g,n}(p) = sum_j [ I(p_1 + p_j) + I(p_1 - p_j) ]
                        + 2 Int_{q_1 + q_2 <= p_1} q_1 q_2 (p_1 - q_1 - q_2)
                            [ v_{g-1,n+1}(q_1, q_2, rest) + sum v v ] dq_1 dq_2
 
   with I(L) = Int_0^L q (L - q) v_{g,n-1}(q, rest minus p_j) dq and the
-  splitting sum over ordered stable splittings; the simplex weight is
-  symmetric, so each ``surface.swap_classes`` class is integrated once
-  and weighed.  All integrals are done exactly: Int_0^L q(L-q) q^{2a} dq
-  = L^{2a+3} / ((2a+2)(2a+3)) and the simplex integral of
-  q_1^{2a+1} q_2^{2b+1} (p_1 - q_1 - q_2) is
-  p_1^{2a+2b+5} (2a+1)! (2b+1)! / (2a+2b+5)!.
+  splitting sum over ordered stable splittings (the simplex weight is
+  symmetric, so each ``surface.swap_classes`` class is integrated once and
+  weighed).  Every integral is a polynomial, so the identity holds as
+  polynomials in u_j = p_j^2.  For a term c q^{2a} of v_{g,n-1}, with
+  m = 2a + 3, I(L) = c L^m / ((m - 1) m) and the binomial expansion keeps
+  the odd powers of p_1:
+
+      I(p_1 + p_j) + I(p_1 - p_j) = 2c / ((m - 1) m) sum_i C(m, 2i) p_1^{m-2i} p_j^{2i};
+
+  the simplex integral of q_1^{2a+1} q_2^{2b+1} (p_1 - q_1 - q_2) is
+  p_1^{2a+2b+5} (2a+1)! (2b+1)! / (2a+2b+5)!.  ``continuous_rhs`` builds
+  the right-hand side over p_1 once; the check evaluates it and v_{g,n}
+  at seeded chamber points.
 
 * ``intersection_ratio_report`` -- literal intersection numbers read off
   V^S next to the classical normalization, with their quotient.
@@ -34,8 +41,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial, prod
-from typing import Sequence
+from math import comb, factorial, prod
 
 from .exactmath import EvenLaurentPoly, laurent_to_series
 from .surface import _check_int, check_stable, enumerate_splittings, perimeter_vectors, swap_classes
@@ -103,69 +109,45 @@ def forward_laplace(volume: EvenLaurentPoly) -> EvenLaurentPoly:
 # continuous recursion
 
 
-def _edge_integral(poly: EvenLaurentPoly, bound: Fraction) -> Fraction:
-    # Int_0^bound q (bound - q) poly(q) dq for a one-variable even polynomial
-    total = Fraction(0)
-    for (a,), coeff in poly.terms.items():
-        total += coeff * bound ** (2 * a + 3) / ((2 * a + 2) * (2 * a + 3))
-    return total
+def continuous_rhs(g: int, n: int) -> EvenLaurentPoly:
+    """Right-hand side of the integral recursion divided by p_1, as a
+    polynomial in u_j = p_j^2 built from the lower ``perimeter_volume``s;
+    the recursion holds exactly when it equals ``perimeter_volume(g, n)``.
+    The base types (0, 3) and (1, 1) raise ``ValueError``."""
+    check_stable(g, n)
+    if (g, n) in ((0, 3), (1, 1)):
+        raise ValueError(f"({g}, {n}) is a base case, not produced by the recursion")
+    out: dict[tuple[int, ...], Fraction] = {}
 
+    def add(exps, value):
+        out[exps] = out.get(exps, 0) + value
 
-def _simplex_integral(kernel: EvenLaurentPoly, bound: Fraction) -> Fraction:
-    # Int over q_1, q_2 >= 0, q_1 + q_2 <= bound of q_1 q_2 (bound - q_1 - q_2) kernel
-    total = Fraction(0)
-    for (a, b), coeff in kernel.terms.items():
+    # the edge terms I(p_1 + p_j) + I(p_1 - p_j), term by term of v_{g,n-1}
+    edge = perimeter_volume(g, n - 1).terms if n > 1 else {}
+    for (a, *others), c in edge.items():
+        m = 2 * a + 3
+        for j in range(1, n):
+            for i in range(a + 2):
+                exps = [a + 1 - i, *others]
+                exps.insert(j, i)
+                add(tuple(exps), 2 * c * comb(m, 2 * i) / ((m - 1) * m))
+
+    # the simplex terms, from the kernel in (q_1, q_2, p_2..p_n)
+    kernel = [perimeter_volume(g - 1, n + 1)] if g else []
+    for sp, orderings in swap_classes(enumerate_splittings(g, range(2, n + 1))):
+        halves = [
+            perimeter_volume(gp, len(part) + 1).substitute_slots(
+                dict(enumerate((slot, *part))), n + 1
+            )
+            for slot, (gp, part) in enumerate(((sp.g1, sp.part1), (sp.g2, sp.part2)))
+        ]
+        kernel.append(orderings * (halves[0] * halves[1]))
+    for (a, b, *rest), c in EvenLaurentPoly.sum(n + 1, kernel).terms.items():
         weight = Fraction(
             factorial(2 * a + 1) * factorial(2 * b + 1), factorial(2 * a + 2 * b + 5)
         )
-        total += coeff * weight * bound ** (2 * a + 2 * b + 5)
-    return total
-
-
-def _check_recursive(g: int, n: int) -> None:
-    # the chamber needs a p_1 above other perimeters; (0, 3) is a base case
-    check_stable(g, n)
-    if n < 2:
-        raise ValueError("need n >= 2 perimeter values")
-    if (g, n) == (0, 3):
-        raise ValueError("(0, 3) is a base case, not produced by the recursion")
-
-
-def continuous_rhs(g: int, n: int, point: Sequence[Fraction]) -> Fraction:
-    """Right-hand side of the integral recursion at a chamber point
-    (requires p_1 > p_j > 0 for every j >= 2)."""
-    _check_recursive(g, n)
-    p = [Fraction(v) for v in point]
-    if len(p) != n:
-        raise ValueError(f"expected {n} perimeter values, got {len(p)}")
-    p1, rest = p[0], p[1:]
-    if any(v <= 0 for v in p) or any(p1 <= v for v in rest):
-        raise ValueError("chamber condition p_1 > p_j > 0 violated")
-
-    total = Fraction(0)
-    for j, pj in enumerate(rest):
-        others = rest[:j] + rest[j + 1 :]
-        edge = perimeter_volume(g, n - 1).partial_evaluate(
-            {i + 1: others[i] for i in range(len(others))}
-        )
-        total += _edge_integral(edge, p1 + pj) + _edge_integral(edge, p1 - pj)
-
-    kernel = EvenLaurentPoly.zero(2)
-    if g >= 1:
-        kernel = kernel + perimeter_volume(g - 1, n + 1).partial_evaluate(
-            {i + 2: rest[i] for i in range(len(rest))}
-        )
-    for sp, orderings in swap_classes(enumerate_splittings(g, range(len(rest)))):
-        halves = []
-        for slot, (gp, labels) in enumerate(((sp.g1, sp.part1), (sp.g2, sp.part2))):
-            part = perimeter_volume(gp, len(labels) + 1).partial_evaluate(
-                {i + 1: rest[j] for i, j in enumerate(labels)}
-            )
-            halves.append(part.substitute_slots({0: slot}, 2))
-        kernel = kernel + orderings * (halves[0] * halves[1])
-    if kernel:
-        total += 2 * _simplex_integral(kernel, p1)
-    return total
+        add((a + b + 2, *rest), 2 * c * weight)
+    return EvenLaurentPoly(n, out)
 
 
 def sample_chamber_points(g: int, n: int, trials: int, seed: int) -> list[tuple[Fraction, ...]]:
@@ -185,17 +167,20 @@ def sample_chamber_points(g: int, n: int, trials: int, seed: int) -> list[tuple[
 def verify_continuous_recursion(
     g: int, n: int, trials: int = 5, seed: int = 0
 ) -> list[tuple[tuple[Fraction, ...], bool]]:
-    """Compare p_1 v_{g,n}(p) against the integral recursion at seeded
-    chamber points; returns one (point, matched) entry per trial, and raises
-    ``ValueError`` for ``trials < 1``, which would check nothing, n < 2 or (0, 3)."""
+    """Compare v_{g,n}(p) against the integral recursion's right-hand side
+    over p_1 at seeded chamber points; returns one (point, matched) entry
+    per trial, and raises ``ValueError`` for ``trials < 1``, which would
+    check nothing, n < 2, which has no chamber point, or (0, 3)."""
     _check_int("trials", trials, 1)
-    _check_recursive(g, n)
+    check_stable(g, n)
+    if n < 2:
+        raise ValueError("need n >= 2 perimeter values")
+    rhs = continuous_rhs(g, n)
     volume = perimeter_volume(g, n)
-    results = []
-    for point in sample_chamber_points(g, n, trials, seed):
-        lhs = point[0] * volume.evaluate(point)
-        results.append((point, lhs == continuous_rhs(g, n, point)))
-    return results
+    return [
+        (point, volume.evaluate(point) == rhs.evaluate(point))
+        for point in sample_chamber_points(g, n, trials, seed)
+    ]
 
 
 # ---------------------------------------------------------------------------

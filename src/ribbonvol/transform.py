@@ -41,9 +41,9 @@ results are canonical (symmetric, exact) and safe to share.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
-from math import prod
+from math import factorial, prod
 from typing import NamedTuple
 
 from .exactmath import EvenLaurentPoly, divided_difference
@@ -218,6 +218,8 @@ def intersection_numbers(g: int, n: int) -> dict[tuple, Fraction]:
             raise ArithmeticError(f"({g},{n}): extraction differs across orderings of {key}")
         out[key] = value
 
-    if len(vs.terms) != sum(len(set(permutations(key))) for key in out):
+    # each key has n! / prod(multiplicity!) distinct orderings
+    orderings = (factorial(n) // prod(map(factorial, Counter(key).values())) for key in out)
+    if len(vs.terms) != sum(orderings):
         raise ArithmeticError(f"({g},{n}): intersection-number round trip failed")
     return out

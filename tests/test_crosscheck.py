@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from ribbonvol import clear_caches, crosscheck, transform
+from ribbonvol.cli import main
 from ribbonvol.crosscheck import (
     CLASSICAL_INTERSECTIONS,
     continuous_rhs,
@@ -13,9 +15,14 @@ from ribbonvol.crosscheck import (
     series_identity,
     verify_continuous_recursion,
 )
+from ribbonvol.exactmath import EvenLaurentPoly
+from ribbonvol.surface import stable_types
 from ribbonvol.transform import SYMPLECTIC, compute
 
 F = Fraction
+
+# the 12 types up to complexity 5 that the recursion produces, n = 1 included
+RECURSIVE_TYPES = [t for t in stable_types(5) if t not in ((0, 3), (1, 1))]
 
 
 def test_series_identity_small():
@@ -64,7 +71,45 @@ def test_continuous_recursion_hand_value():
     point = (F(5), F(2))
     lhs = point[0] * perimeter_volume(1, 2).evaluate(point)
     assert lhs == F(4205, 48)
-    assert continuous_rhs(1, 2, point) == F(4205, 48)
+    assert 5 * continuous_rhs(1, 2).evaluate(point) == F(4205, 48)
+
+
+def test_continuous_rhs_is_the_volume():
+    # the identity holds as polynomials, also at n = 1 where the chamber is empty
+    assert len(RECURSIVE_TYPES) == 12
+    assert {(2, 1), (3, 1)} <= set(RECURSIVE_TYPES)
+    for g, n in RECURSIVE_TYPES:
+        assert continuous_rhs(g, n) == perimeter_volume(g, n), (g, n)
+
+
+def test_continuous_recursion_sees_a_wrong_kernel(monkeypatch, capsys):
+    wrong = SYMPLECTIC._replace(kappa=EvenLaurentPoly(1, {(2,): 1, (1,): 1}))
+    clear_caches()
+    monkeypatch.setitem(transform.CONFIGS, "symplectic", wrong)
+    monkeypatch.setattr(crosscheck, "SYMPLECTIC", wrong)
+    try:
+        differ = [t for t in RECURSIVE_TYPES if continuous_rhs(*t) != perimeter_volume(*t)]
+        assert main(["verify", "--suite", "symplectic"]) == 1
+        rows = capsys.readouterr().out.splitlines()
+    finally:
+        clear_caches()
+    assert differ == RECURSIVE_TYPES
+    failed = [row.split()[2] for row in rows if row.startswith("FAIL")]
+    assert failed == ["integral(0,4)", "integral(1,2)"]
+
+
+def test_continuous_recursion_sees_a_perturbed_lower_volume(monkeypatch):
+    true_volume = crosscheck.perimeter_volume
+
+    def bumped(g, n):
+        volume = true_volume(g, n)
+        if (g, n) == (0, 4):
+            volume = volume + EvenLaurentPoly.monomial(4, (1, 0, 0, 0))
+        return volume
+
+    monkeypatch.setattr(crosscheck, "perimeter_volume", bumped)
+    results = verify_continuous_recursion(0, 5, trials=5, seed=0)
+    assert [ok for _, ok in results] == [False] * 5
 
 
 def test_continuous_recursion_seeded():
@@ -100,8 +145,9 @@ def test_continuous_recursion_rejects_the_base_type():
     # by a lower table
     with pytest.raises(ValueError, match=r"\(0, 3\) is a base case"):
         verify_continuous_recursion(0, 3)
-    with pytest.raises(ValueError, match=r"\(0, 3\) is a base case"):
-        continuous_rhs(0, 3, (F(9), F(2), F(3)))
+    for g, n in [(0, 3), (1, 1)]:
+        with pytest.raises(ValueError, match=rf"\({g}, {n}\) is a base case"):
+            continuous_rhs(g, n)
 
 
 def test_chamber_points_are_in_the_chamber():
@@ -109,15 +155,6 @@ def test_chamber_points_are_in_the_chamber():
     assert pts == sample_chamber_points(0, 4, 8, 3)
     for point in pts:
         assert all(point[0] > v > 0 for v in point[1:])
-
-
-def test_chamber_validation():
-    with pytest.raises(ValueError):
-        continuous_rhs(1, 2, (F(2), F(5)))
-    with pytest.raises(ValueError):
-        continuous_rhs(1, 2, (F(5), F(-1)))
-    with pytest.raises(ValueError):
-        continuous_rhs(1, 1, (F(5),))
 
 
 def test_golden_table_is_complete():
