@@ -104,8 +104,7 @@ def _cmd_count(args, parser) -> int:
         import json
         print(json.dumps(table.to_json_dict(), indent=2, sort_keys=True))
     else:
-        rows = table.to_json_dict()["entries"]
-        sys.stdout.write("".join(f"{' '.join(map(str, p))}\t{text}\n" for p, text in rows))
+        sys.stdout.write("".join(f"{' '.join(map(str, p))}\t{text}\n" for p, text in table.text))
     return 0
 
 

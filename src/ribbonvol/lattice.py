@@ -7,9 +7,9 @@ each graph weighted by the number of integer edge-length assignments
 realizing the perimeters (divided by |Aut|).
 
 Values are produced by the edge-removal recursion on the complexity
-2g - 2 + n (Norbury, arXiv:0801.4590).  Write p_1 for the pivot
-perimeter, rest for the other n - 1, rest_j for rest without p_j, H for
-the strict Heaviside step (H(x) = 1 for x > 0, else 0), and
+2g - 2 + n (Norbury, arXiv:0801.4590).  Write p_1 for the pivot, the
+largest perimeter, rest for the other n - 1, rest_j for rest without p_j,
+and
 
     S_j(P) = sum_{0<q<P} q (P-q) N_{g,n-1}(q, rest_j)
     X(q_1, q_2) = N_{g-1,n+1}(q_1, q_2, rest)
@@ -18,10 +18,11 @@ the strict Heaviside step (H(x) = 1 for x > 0, else 0), and
 Then
 
     p_1 N_{g,n}(p) =
-      1/2 sum_j [ S_j(p_1+p_j) + H(p_1-p_j) S_j(p_1-p_j) - H(p_j-p_1) S_j(p_j-p_1) ]
+      1/2 sum_j [ S_j(p_1+p_j) + S_j(p_1-p_j) ]
     + 1/2 sum_{q_1+q_2 < p_1} q_1 q_2 (p_1-q_1-q_2) X(q_1, q_2)
 
-with base cases
+(S_j(0) = 0).  At any other pivot the recursion holds with a third term,
+-S_j(p_j-p_1) for each p_j > p_1, which the largest never has.  Base cases
 
     N_{0,3}(p) = 1 if p_1+p_2+p_3 is even else 0
     N_{1,1}(p) = (p^2 - 4)/48 if p is even else 0.
@@ -31,7 +32,7 @@ Neither sum is looped over per entry; both are read from prefix moments.
 * The j-sums.  With M1[m] = sum_{q<m} q N(q, rest_j) and
   M2[m] = sum_{q<m} q^2 N(q, rest_j), S_j(P) = P M1[P] - M2[P].  One
   table per (g, n-1, rest_j) holds M1 and M2, grown to the largest P
-  asked for, so each of the three terms is one table read.
+  asked for, so each of the two terms is one table read.
 * The double sum.  Grouping by s = q_1 + q_2, with the diagonal sums
   D(s) = sum_{q_1+q_2=s} q_1 q_2 X(q_1, q_2), B0[m] = sum_{s<m} D(s)
   and B1[m] = sum_{s<m} s D(s), it is p_1 B0[p_1] - B1[p_1], one table
@@ -50,9 +51,8 @@ both prefix sums over one table denominator.  An entry whose denominator
 does not divide it raises it to their lcm and rescales the numerators in
 place.  So the regrouped sums equal the direct loops exactly, and a count
 becomes a Fraction only once, when it is memoized.  The memo table is
-keyed by (g, n, sorted perimeters); since N is symmetric, any entry may
-serve as the pivot, and we always rotate the largest one into the pivot
-slot (which also kills the third, negatively signed term).
+keyed by (g, n, perimeters sorted descending), so the pivot slot holds
+the largest perimeter.
 
 A single count far from the small perimeters is not run up to p.  Write
 d = 3g - 3 + n and r_j = 2 - (p_j mod 2).  On the parity class of p, N_{g,n}
@@ -84,7 +84,7 @@ from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm, prod
 from operator import getitem, itemgetter, mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from ._version import __version__
 from .surface import _check_int, check_stable, enumerate_splittings, perimeter_vectors, swap_classes
@@ -176,7 +176,7 @@ def count(g: int, n: int, p: Sequence[int]) -> Fraction:
     p = _perimeters(g, n, p)
     with _lock:
         if _by_class(g, n, sum(p)):
-            return _class_count(g, n, p)
+            return _class_count(g, n, p, {})
         return _N(g, n, tuple(sorted(p, reverse=True)))
 
 
@@ -204,14 +204,13 @@ def _grid_bound(g: int, n: int) -> int:
     return 2 * (3 * g - 3 + n) + 2 * n  # R = 2d + 2n, the largest sum on a class grid
 
 
-def _class_count(g: int, n: int, p: Sequence[int], bases: dict | None = None) -> Fraction:
+def _class_count(g: int, n: int, p: Sequence[int], bases: dict) -> Fraction:
     """N_{g,n}(p) for an even sum(p), off p's parity-class polynomial in the
     p_j^2 (Newton basis); ``bases`` keeps each perimeter's row B[0..d]."""
     odd = [x for x in p if x % 2]
     p = odd + [x for x in p if not x % 2]
     grid, nums, den = _classes.get((g, n, len(odd))) or _class_table(g, n, len(odd))
     d = 3 * g - 3 + n
-    bases = {} if bases is None else bases
     for pj in p:
         if pj not in bases:
             u, r, b = pj * pj, 2 - pj % 2, [1]
@@ -342,8 +341,9 @@ def _double_sum(g: int, n: int, rest: tuple, splittings) -> list:
 
 def _rhs(g: int, n: int, p1: int, rest: tuple) -> tuple[int, int]:
     """Right-hand side of the recursion, p1 N_{g,n}(p), as (numerator,
-    denominator) for an arbitrary pivot perimeter ``p1``; ``rest`` sorted
-    descending."""
+    denominator); ``p1`` is the largest perimeter and ``rest`` the others,
+    sorted descending, so p1 - pj >= 0 and the negatively signed j-term
+    never occurs."""
     shape = (g, len(rest))
     splittings = _splittings.get(shape)
     if splittings is None:
@@ -352,34 +352,11 @@ def _rhs(g: int, n: int, p1: int, rest: tuple) -> tuple[int, int]:
     for idx, pj in enumerate(rest):
         column = _column(g, n - 1, rest[:idx] + rest[idx + 1 :])
         terms.append(_weighted(column, p1 + pj))
-        if p1 > pj:
-            terms.append(_weighted(column, p1 - pj))
-        elif pj > p1:
-            num, den = _weighted(column, pj - p1)
-            terms.append((-num, den))
+        terms.append(_weighted(column, p1 - pj))
     if g >= 1 or splittings:
         terms.append(_weighted(_double_sum(g, n, rest, splittings), p1))
     num, den = _fsum(terms)
     return num, 2 * den
-
-
-def recursion_rhs(g: int, n: int, p: Sequence[int], pivot: int) -> Fraction:
-    """Evaluate the recursion with ``p[pivot]`` as the distinguished
-    perimeter and return the implied value of N_{g,n}(p).
-
-    The recursion holds with any entry in the pivot slot; tests compare
-    this against ``count`` for every pivot.
-    """
-    p = _perimeters(g, n, p)
-    if (g, n) in ((0, 3), (1, 1)):
-        raise ValueError(f"({g}, {n}) is a base case, not produced by the recursion")
-    _check_int("pivot", pivot, 0, n)
-    if sum(p) % 2:
-        return _ZERO
-    rest = tuple(sorted(p[:pivot] + p[pivot + 1 :], reverse=True))
-    with _lock:
-        num, den = _rhs(g, n, p[pivot], rest)
-    return Fraction(num, den * p[pivot])
 
 
 def oracle_n11(p: int) -> Fraction:
@@ -401,36 +378,28 @@ def oracle_n11(p: int) -> Fraction:
 
 
 class CountTable:
-    """All counts for one (g, n) with total perimeter up to ``max_sum``,
-    keyed by nondecreasing perimeter tuples, kept in vector order as reduced
-    ``"num/den"`` text that CSV and JSON print as is; ``entries`` on first use."""
+    """All counts for one (g, n) with total perimeter up to ``max_sum``:
+    ``text`` holds one ``(vector, "num/den")`` pair per nondecreasing
+    perimeter vector, in vector order, the reduced text that CSV and JSON
+    print as is."""
 
-    __slots__ = ("g", "n", "max_sum", "_text", "_entries")
+    __slots__ = ("g", "n", "max_sum", "text")
 
-    def __init__(self, g: int, n: int, max_sum: int, entries: Mapping[tuple, Fraction]):
-        self.g, self.n, self.max_sum, self._entries = g, n, max_sum, dict(entries)
-        self._text = [(p, f"{v.numerator}/{v.denominator}") for p, v in sorted(self._entries.items())]
-
-    @classmethod
-    def _of_text(cls, g: int, n: int, max_sum: int, text: list[tuple[tuple, str]]) -> CountTable:
-        table = cls.__new__(cls)
-        table.g, table.n, table.max_sum, table._text, table._entries = g, n, max_sum, text, None
-        return table
+    def __init__(self, g: int, n: int, max_sum: int, text: list[tuple[tuple, str]]):
+        self.g, self.n, self.max_sum, self.text = g, n, max_sum, text
 
     @property
     def entries(self) -> dict[tuple, Fraction]:
-        if self._entries is None:
-            self._entries = {p: Fraction(text) for p, text in self._text}
-        return self._entries
+        return dict(self.rows())
 
     def rows(self) -> list[tuple[tuple, Fraction]]:
-        return sorted(self.entries.items())
+        return [(p, Fraction(text)) for p, text in self.text]
 
     def csv_text(self) -> str:
         header = ["g", "n"] + [f"p_{j + 1}" for j in range(self.n)] + ["numerator", "denominator"]
         lines = [",".join(header)]
         lines += [
-            f"{self.g},{self.n},{','.join(map(str, p))},{text.replace('/', ',')}" for p, text in self._text
+            f"{self.g},{self.n},{','.join(map(str, p))},{text.replace('/', ',')}" for p, text in self.text
         ]
         return "\n".join(lines) + "\n"
 
@@ -441,7 +410,7 @@ class CountTable:
             "g": self.g,
             "n": self.n,
             "max_sum": self.max_sum,
-            "entries": [[list(p), text] for p, text in self._text],
+            "entries": [[list(p), text] for p, text in self.text],
         }
 
 
@@ -484,7 +453,7 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
                 continue
             v = count(g, n, p) if total <= big else _class_count(g, n, p, bases)
             text.append((p, f"{v.numerator}/{v.denominator}"))
-    table = CountTable._of_text(g, n, max_sum, text)
+    table = CountTable(g, n, max_sum, text)
     if path:
         _write_cache(path, table)
     return table
@@ -529,4 +498,4 @@ def _load_cache(path, g, n, max_sum):
         numbers = chain(head[2:], *map(itemgetter(0), doc["entries"]))
     except (OSError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
         return None
-    return CountTable._of_text(g, n, max_sum, text) if set(map(type, numbers)) == {int} else None
+    return CountTable(g, n, max_sum, text) if set(map(type, numbers)) == {int} else None

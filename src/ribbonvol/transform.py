@@ -203,23 +203,23 @@ def intersection_numbers(g: int, n: int) -> dict[tuple, Fraction]:
     """
     vs = compute(SYMPLECTIC, g, n)
     target = 3 * g - 3 + n
-    sign = (-1) ** n
-    out: dict[tuple, Fraction] = {}
+    groups: dict[tuple, list[Fraction]] = {}
     for exps, coeff in vs.terms.items():
         if sum(exps) != target or any(e < 0 for e in exps):
             raise ArithmeticError(
                 f"({g},{n}): unexpected monomial {exps} in the symplectic volume"
             )
-        value = coeff * sign
-        for d in exps:
-            value *= Fraction(4**d, prod(range(1, 2 * d + 2, 2)))
-        key = tuple(sorted(exps, reverse=True))
-        if key in out and out[key] != value:
+        groups.setdefault(tuple(sorted(exps, reverse=True)), []).append(coeff)
+    for key, coeffs in groups.items():
+        if coeffs.count(coeffs[0]) != len(coeffs):
             raise ArithmeticError(f"({g},{n}): extraction differs across orderings of {key}")
-        out[key] = value
-
     # each key has n! / prod(multiplicity!) distinct orderings
-    orderings = (factorial(n) // prod(map(factorial, Counter(key).values())) for key in out)
-    if len(vs.terms) != sum(orderings):
-        raise ArithmeticError(f"({g},{n}): intersection-number round trip failed")
-    return out
+    for key, coeffs in groups.items():
+        if len(coeffs) != factorial(n) // prod(map(factorial, Counter(key).values())):
+            raise ArithmeticError(f"({g},{n}): intersection-number round trip failed")
+    # (-1)^n prod_j 4^{d_j} / (2d_j+1)!!, once per key since sum(d) = target
+    scale = (-1) ** n * 4**target
+    return {
+        key: coeffs[0] * Fraction(scale, prod(prod(range(1, 2 * d + 2, 2)) for d in key))
+        for key, coeffs in groups.items()
+    }

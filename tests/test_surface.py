@@ -6,7 +6,7 @@ import pytest
 from ribbonvol.crosscheck import sample_chamber_points, series_identity, verify_continuous_recursion
 from ribbonvol.eo import CURVE_LAPLACE, integrand_terms, sample_spectators, verify_eo
 from ribbonvol.exactmath import EvenLaurentPoly, laurent_to_series
-from ribbonvol.lattice import census, count, oracle_n11, recursion_rhs
+from ribbonvol.lattice import census, count, oracle_n11
 from ribbonvol.surface import (
     Splitting,
     enumerate_splittings,
@@ -36,7 +36,6 @@ ENTRY_POINTS = {
     "compute": lambda g, n: compute(LAPLACE, g, n),
     "count": lambda g, n: count(g, n, (2, 2, 2, 2)),
     "census": lambda g, n: census(g, n, 12),
-    "recursion_rhs": lambda g, n: recursion_rhs(g, n, (2, 2, 2, 2), 0),
     "integrand_terms": lambda g, n: integrand_terms(CURVE_LAPLACE, g, n, (3, 5, 7)),
     "verify_eo": lambda g, n: verify_eo(CURVE_LAPLACE, g, n),
     "series_identity": lambda g, n: series_identity(g, n, 12),
@@ -61,7 +60,6 @@ _POLY = EvenLaurentPoly(2, {(1, 0): 1})
 INT_ARGUMENTS = {
     "enumerate_splittings": ("g", lambda v: enumerate_splittings(v, ()), (1.0, True, -1)),
     "count": ("perimeter", lambda v: count(0, 3, (2, v, 2)), (2.0, True, 0)),
-    "recursion_rhs": ("pivot", lambda v: recursion_rhs(0, 4, (4, 2, 2, 2), v), (0.0, True, 4)),
     "oracle_n11": ("p", oracle_n11, (6.0, True, 0)),
     "census": ("max_sum", lambda v: census(0, 4, v), (12.0, True, 3)),
     "series_identity": ("max_sum", lambda v: series_identity(0, 4, v), (12.0, True, 3)),
