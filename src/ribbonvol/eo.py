@@ -39,8 +39,8 @@ omega is a rational function of t, so by the residue theorem the sum above
 is also the sum of its residues at t = 0 and t = infinity, the
 ramification points of x, where s(t) = -t is fixed.  ``residue_sum``
 takes those on integer numerators: each is read off a power series kept as
-integer rows, only the coefficients a residue keeps are formed, and every
-pole set goes over one common denominator, reduced once.  So no pole at
+integer rows, only the coefficients a residue keeps are formed, and the
+residues are added by the core's ``EvenLaurentPoly.sum``.  So no pole at
 +-t1 or +-a_j is visited and no polynomial is divided.
 ``verify_eo`` compares the result against the recursion engine's output at
 seeded random spectator values, and checks a repeated draw once.
@@ -142,7 +142,7 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
         pieces[()] = [EvenLaurentPoly.monomial(1, (-1,), w / 4)]
     elif g >= 1:
         q = compute(curve.config, g - 1, n + 1)
-        pieces[()] = [q.partial_evaluate({i + 2: a[i] for i in range(n - 1)}).diagonal_merge(0, 1)]
+        pieces[()] = [q.partial_evaluate({i + 2: a[i] for i in range(n - 1)}).diagonal_merge()]
     for g1, part1, g2, part2 in splittings:
         num, poles = None, []
         for half, sign in (((g1, part1), 1), ((g2, part2), -1)):
@@ -165,23 +165,18 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
 # residue extraction
 
 
-def _inverse_square_series(roots: Sequence[Fraction], top: int) -> list[int]:
-    """[x^(2j)] prod_(c in roots) (1 - c x)^-2 times d^(2j), d the roots'
-    common denominator, for j = 0..top (none if top < 0): integer rows."""
+def _inverse_square_series(roots: Sequence[Fraction], top: int) -> tuple[list[int], int]:
+    """[x^(2j)] prod_(c in roots) (1 - c x)^-2 for j = 0..top (top >= 0), as
+    integer rows over one denominator d^(2 top), d the roots' common
+    denominator: the rows and that denominator."""
     d = lcm(*(c.denominator for c in roots))
-    coeffs = [1] + [0] * (2 * top)
+    coeffs = [1] + [0] * (2 * top)  # x^m coefficient times d^m
     for c in roots:
         step = c.numerator * (d // c.denominator)
         for _ in range(2):  # times (1 - c x)^-1: a running sum
             for m in range(1, len(coeffs)):
                 coeffs[m] += step * coeffs[m - 1]
-    return coeffs[: 2 * top + 1 : 2]
-
-
-def _common_rows(roots: Sequence[Fraction], top: int) -> tuple[list[int], int]:
-    """``_inverse_square_series`` as numerators over one denominator d^(2 top)."""
-    d2 = lcm(*(c.denominator for c in roots)) ** 2
-    return [c * d2 ** (top - j) for j, c in enumerate(_inverse_square_series(roots, top))], d2**top
+    return [coeffs[2 * j] * d ** (2 * (top - j)) for j in range(top + 1)], d ** (2 * top)
 
 
 def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
@@ -199,31 +194,25 @@ def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
     so each product is summed over R before its part is kept.
 
     It runs on integers: B as its numerators b_k, each series as integer
-    rows (the x^2j coefficient times d^2j, d the roots' common denominator),
-    and only the kept coefficients are formed; every residue then goes over
-    one common denominator, and the result is reduced once.
+    rows over one denominator, and only the kept coefficients are formed;
+    ``EvenLaurentPoly.sum`` then adds the residues.
     """
-    parts = []  # (exponent of u -> integer numerator, denominator) per residue
+    parts = []  # one polynomial per residue
     for poles, num in integrand_terms(curve, g, n, spectators).items():
         # b_k for low <= k <= high, widened to hold 0 so every slice below
         # starts inside b
         low, high = min(min(num._num)[0], 0), max(max(num._num)[0], 0)
         b = [num._num.get((k,), 0) for k in range(low, high + 1)]
         if low < 0:  # at t = 0: u^m for m < 0, from b_(m-j) row_j
-            rows, d = _common_rows([1 / r for r in poles], -1 - low)
+            rows, d = _inverse_square_series([1 / r for r in poles], -1 - low)
             scale = prod(r.denominator for r in poles) ** 2
-            kept = {m: scale * sum(map(mul, b[m - low::-1], rows)) for m in range(low, 0)}
-            parts.append((kept, d * prod(r.numerator for r in poles) ** 2 * num._den))
+            kept = {(m,): scale * sum(map(mul, b[m - low::-1], rows)) for m in range(low, 0)}
+            parts.append(_canonical(1, kept, d * prod(r.numerator for r in poles) ** 2 * num._den))
         if high >= len(poles):  # at t = infinity: u^m for m >= 0, from b_(m+|R|+j) row_j
-            rows, d = _common_rows(poles, high - len(poles))
-            kept = {m: sum(map(mul, b[m + len(poles) - low:], rows)) for m in range(len(rows))}
-            parts.append((kept, d * num._den))
-    den = lcm(*(d for _, d in parts))
-    out: dict[tuple[int], int] = {}
-    for coeffs, d in parts:
-        for m, c in coeffs.items():
-            out[m,] = out.get((m,), 0) - c * (den // d)
-    return _canonical(1, out, den)
+            rows, d = _inverse_square_series(poles, high - len(poles))
+            kept = {(m,): sum(map(mul, b[m + len(poles) - low:], rows)) for m in range(len(rows))}
+            parts.append(_canonical(1, kept, d * num._den))
+    return -EvenLaurentPoly.sum(1, parts)
 
 
 def sample_spectators(curve_name: str, g: int, n: int, trials: int,

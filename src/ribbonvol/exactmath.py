@@ -194,12 +194,7 @@ class EvenLaurentPoly:
 
     # -- ring operations ------------------------------------------------
 
-    def _require_same_shape(self, other: "EvenLaurentPoly") -> None:
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} != {other.arity}")
-
     def __add__(self, other: "EvenLaurentPoly") -> "EvenLaurentPoly":
-        self._require_same_shape(other)
         return EvenLaurentPoly.sum(self.arity, (self, other))
 
     def __neg__(self) -> "EvenLaurentPoly":
@@ -211,7 +206,8 @@ class EvenLaurentPoly:
 
     def __mul__(self, other) -> "EvenLaurentPoly":
         if isinstance(other, EvenLaurentPoly):
-            self._require_same_shape(other)
+            if self.arity != other.arity:
+                raise ValueError(f"arity mismatch: {self.arity} != {other.arity}")
             out: dict[Exponents, int] = {}
             get = out.get
             right = other._num.items()
@@ -300,23 +296,15 @@ class EvenLaurentPoly:
         out = {pick(exps + pad): c for exps, c in self._num.items()}
         return EvenLaurentPoly._trusted(new_arity, out, self._den)
 
-    def diagonal_merge(self, keep: int, absorb: int) -> "EvenLaurentPoly":
-        """Identify variable ``absorb`` with variable ``keep`` (0-based).
-
-        Exponents add; the absorbed slot disappears and the arity drops
-        by one.  Slots after ``absorb`` shift down.
-        """
-        self._check_var(keep)
-        self._check_var(absorb)
-        if keep == absorb:
-            raise ValueError("cannot merge a slot with itself")
+    def diagonal_merge(self) -> "EvenLaurentPoly":
+        """Identify variable 1 with variable 0: exponents add, slot 1
+        disappears and the slots after it shift down, so the arity drops by
+        one.  This is the diagonal F(t, t, ..) of the recursion's bracket."""
+        self._check_var(1)
         out: dict[Exponents, int] = {}
         get = out.get
         for exps, c in self._num.items():
-            merged = list(exps)
-            merged[keep] += merged[absorb]
-            del merged[absorb]
-            key = tuple(merged)
+            key = (exps[0] + exps[1],) + exps[2:]
             out[key] = get(key, 0) + c
         return _canonical(self.arity - 1, out, self._den)
 

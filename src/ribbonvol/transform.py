@@ -133,7 +133,7 @@ def compute(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
 
 def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
     kappa0 = config.kappa.substitute_slots({0: 0}, n)
-    result = EvenLaurentPoly.zero(n)
+    parts = []
 
     if n >= 2:
         # the j-term for slot b is the image of the one for slot 1 under the
@@ -147,27 +147,23 @@ def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
             swap = dict(enumerate(range(n)))
             swap[1], swap[b] = b, 1
             j_parts.append(first.substitute_slots(swap, n))
-        result = result + config.a_factor * EvenLaurentPoly.sum(n, j_parts)
+        parts.append(config.a_factor * EvenLaurentPoly.sum(n, j_parts))
 
     def bracket_parts():
         if g >= 1:
-            yield compute(config, g - 1, n + 1).diagonal_merge(0, 1)
+            yield compute(config, g - 1, n + 1).diagonal_merge()
         groups: dict[int, list] = {}
         for (g1, part1, g2, part2), orderings in swap_classes(enumerate_splittings(g, range(1, n))):
-            product = _embed_part(config, g1, part1, n) * _embed_part(config, g2, part2, n)
-            groups.setdefault(orderings, []).append(product)
+            # each half at the shared slot 0 and at its own slots
+            left, right = (compute(config, gp, len(slots) + 1).substitute_slots(
+                               dict(enumerate((0, *slots))), n)
+                           for gp, slots in ((g1, part1), (g2, part2)))
+            groups.setdefault(orderings, []).append(left * right)
         for orderings, products in groups.items():
             yield orderings * EvenLaurentPoly.sum(n, products)
 
-    bracket = EvenLaurentPoly.sum(n, bracket_parts())
-    if bracket:
-        result = result + config.b_factor * (kappa0 * bracket)
-    return result
-
-
-def _embed_part(config, g_part, slots, n):
-    poly = compute(config, g_part, len(slots) + 1)
-    return poly.substitute_slots(dict(enumerate((0, *slots))), n)
+    parts.append(config.b_factor * (kappa0 * EvenLaurentPoly.sum(n, bracket_parts())))
+    return EvenLaurentPoly.sum(n, parts)
 
 
 def kontsevich_ratio(g: int, n: int) -> Fraction:

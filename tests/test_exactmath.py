@@ -100,7 +100,7 @@ def test_results_are_canonical():
     results = [
         p + q, p - p, -p, p * q, 0 * p, p * F(0), 3 * p,
         p.t_derivative(0), 3 * p.t_derivative(1), p.leading_part(),
-        p.diagonal_merge(0, 1), p.substitute_slots({0: 2, 1: 0}, 3),
+        p.diagonal_merge(), p.substitute_slots({0: 2, 1: 0}, 3),
         p.partial_evaluate({1: 1}), at_zero, EvenLaurentPoly.sum(2, [p, q, -p]),
     ]
     for r in results:
@@ -199,9 +199,7 @@ def test_integer_core_matches_fraction_dicts():
             (p.leading_part(), {e: c for e, c in x.items() if sum(e) == top}),
         ]
         if n >= 2:
-            cases.append((p.diagonal_merge(a, b), _ref_map(
-                x, lambda e: tuple(e[i] + (e[b] if i == a else 0) for i in range(n) if i != b)
-            )))
+            cases.append((p.diagonal_merge(), _ref_map(x, lambda e: (e[0] + e[1], *e[2:]))))
             f = EvenLaurentPoly(n, _random_terms(rng, n, free=b))
             cases.append((divided_difference(f, a, b), _ref_divided_difference(dict(f.terms), a, b)))
         for got, want in cases:
@@ -246,7 +244,12 @@ def test_substitute_slots_needs_a_total_map():
 
 def test_diagonal_merge():
     p = EvenLaurentPoly(3, {(1, 2, -1): F(5)})
-    assert p.diagonal_merge(0, 1) == EvenLaurentPoly(2, {(3, -1): F(5)})
+    assert p.diagonal_merge() == EvenLaurentPoly(2, {(3, -1): F(5)})
+    # terms that meet on the diagonal add, and may cancel
+    q = EvenLaurentPoly(2, {(1, 0): 2, (0, 1): -2, (2, 0): 1})
+    assert q.diagonal_merge() == EvenLaurentPoly(1, {(2,): 1})
+    with pytest.raises(ValueError):
+        EvenLaurentPoly(1, {(1,): 1}).diagonal_merge()  # one slot has no diagonal
 
 
 def test_leading_part_and_degree():

@@ -61,11 +61,14 @@ def package_modules(names) -> set[str]:
         (["verify", "--suite", "golden"], {"lattice", "eo"}, False),
         (["verify", "--suite", "eo", "--trials", "1"], {"lattice", "crosscheck"}, False),
         (["verify", "--suite", "series", "--level", "4"], {"eo"}, False),
+        (["verify", "--suite", "ratio", "--level", "1"], {"lattice", "eo", "crosscheck"}, False),
+        (["verify", "--suite", "leading", "--level", "1"], {"lattice", "eo", "crosscheck"}, False),
+        (["verify", "--suite", "symplectic", "--trials", "1"], {"lattice", "eo"}, False),
         (["verify", "--suite", "golden", "--format", "jsonl"], {"lattice", "eo"}, True),
         (["intersect", "1", "1"], {"lattice", "eo"}, False),
     ],
     ids=["version", "count", "census-text", "census", "poly", "poly-json", "golden", "eo",
-         "series", "golden-jsonl", "intersect"],
+         "series", "ratio", "leading", "symplectic", "golden-jsonl", "intersect"],
 )
 def test_a_subcommand_loads_only_what_it_uses(tmp_path, argv, unused, loads_json):
     # json is loaded only to read or write JSON: text output and counts do without it

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -9,7 +9,7 @@ from ribbonvol.cli import main
 from ribbonvol.crosscheck import golden_laplace
 from ribbonvol.exactmath import EvenLaurentPoly
 from ribbonvol.lattice import count
-from ribbonvol.surface import enumerate_splittings, stable_types
+from ribbonvol.surface import enumerate_splittings, is_stable, stable_types
 from ribbonvol.transform import (
     CONFIGS,
     EUCLIDEAN,
@@ -246,6 +246,33 @@ def test_intersection_keys_are_sorted_degree_vectors():
         for key in table:
             for exps in set(permutations(key)):
                 assert exps in vs.terms
+
+
+def test_string_and_dilaton_equations():
+    # <tau_0 prod tau_(d_i)>_g = sum_j <.. tau_(d_j - 1) ..>_g and
+    # <tau_1 prod_(i<n) tau_(d_i)>_(g,n) = (2g - 3 + n) <prod tau_(d_i)>_(g,n-1),
+    # wherever (g, n - 1) is stable; a missing key is 0
+    def key(degrees):
+        return tuple(sorted(degrees, reverse=True))
+
+    relations = 0
+    for g, n in STABLE_TO_LEVEL_5:
+        if not is_stable(g, n - 1):
+            continue
+        big, small = intersection_numbers(g, n), intersection_numbers(g, n - 1)
+        top = 3 * g - 3 + n
+        for rest in combinations_with_replacement(range(top + 1), n - 1):
+            if sum(rest) == top:
+                want = sum(small.get(key(rest[:j] + (d - 1,) + rest[j + 1 :]), 0)
+                           for j, d in enumerate(rest) if d)
+                assert big.get(key((0, *rest)), 0) == want, ("string", g, n, rest)
+            elif sum(rest) == top - 1:
+                want = (2 * g - 3 + n) * small.get(key(rest), 0)
+                assert big.get(key((1, *rest)), 0) == want, ("dilaton", g, n, rest)
+            else:
+                continue
+            relations += 1
+    assert relations == 51
 
 
 def test_memo_tables_cannot_be_altered_through_a_result():
