@@ -166,9 +166,9 @@ def integrand_terms(curve: SpectralCurveSpec, g: int, n: int,
 
 
 def _inverse_square_series(roots: Sequence[Fraction], top: int) -> tuple[list[int], int]:
-    """[x^(2j)] prod_(c in roots) (1 - c x)^-2 for j = 0..top (top >= 0), as
-    integer rows over one denominator d^(2 top), d the roots' common
-    denominator: the rows and that denominator."""
+    """[x^(2j)] prod_(c in roots) (1 - c x)^-2 for j = 0..top (none if
+    top < 0), as integer rows over one denominator d^(2 top), d the roots'
+    common denominator: the rows and that denominator."""
     d = lcm(*(c.denominator for c in roots))
     coeffs = [1] + [0] * (2 * top)  # x^m coefficient times d^m
     for c in roots:

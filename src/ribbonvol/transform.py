@@ -154,10 +154,8 @@ def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
             yield compute(config, g - 1, n + 1).diagonal_merge()
         groups: dict[int, list] = {}
         for (g1, part1, g2, part2), orderings in swap_classes(enumerate_splittings(g, range(1, n))):
-            # each half at the shared slot 0 and at its own slots
-            left, right = (compute(config, gp, len(slots) + 1).substitute_slots(
-                               dict(enumerate((0, *slots))), n)
-                           for gp, slots in ((g1, part1), (g2, part2)))
+            left = compute(config, g1, len(part1) + 1).substitute_slots(dict(enumerate((0, *part1))), n)
+            right = compute(config, g2, len(part2) + 1).substitute_slots(dict(enumerate((0, *part2))), n)
             groups.setdefault(orderings, []).append(left * right)
         for orderings, products in groups.items():
             yield orderings * EvenLaurentPoly.sum(n, products)
