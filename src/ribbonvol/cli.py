@@ -54,11 +54,36 @@ def _poly_text(poly) -> str:
     if not poly:
         return "0"
     pieces = []
-    for exps, coeff in poly.sorted_terms():
+    for exps, num, den in poly.reduced_rows():
         factors = [f"t{j + 1}^{2 * e}" for j, e in enumerate(exps) if e]
         body = " ".join(factors) if factors else "1"
-        pieces.append(f"({coeff}) {body}")
+        pieces.append(f"({num}) {body}" if den == 1 else f"({num}/{den}) {body}")
     return " + ".join(pieces)
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for a document of dicts,
+    lists, strings and ints, written directly: json's indented encoder is
+    pure Python, and several times slower."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    def text(value, pad: str) -> str:
+        if type(value) is str:
+            return quote(value)
+        if type(value) is int:
+            return str(value)
+        inner = pad + "  "
+        if type(value) is dict:
+            items = [f"{quote(key)}: {text(item, inner)}" for key, item in sorted(value.items())]
+            brackets = "{}"
+        else:
+            items = [text(item, inner) for item in value]
+            brackets = "[]"
+        if not items:
+            return brackets
+        return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}"
+
+    return text(doc, "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +126,7 @@ def _cmd_count(args, parser) -> int:
     if args.format == "csv":
         sys.stdout.write(table.csv_text())
     elif args.format == "json":
-        import json
-        print(json.dumps(table.to_json_dict(), indent=2, sort_keys=True))
+        print(_json_text(table.to_json_dict()))
     else:
         sys.stdout.write("".join(f"{' '.join(map(str, p))}\t{text}\n" for p, text in table.text))
     return 0
@@ -115,11 +139,10 @@ def _cmd_poly(args, parser) -> int:
     _require_stable(parser, args.g, args.n)
     poly = compute(config, args.g, args.n)
     if args.format == "json":
-        import json
-        doc = poly.to_json_dict()
-        doc["kind"] = args.kind
-        doc["g"], doc["n"] = args.g, args.n
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        terms = [{"coefficient": f"{num}/{den}", "exponents": list(exps)}
+                 for exps, num, den in poly.reduced_rows()]
+        doc = {"arity": poly.arity, "g": args.g, "kind": args.kind, "n": args.n, "terms": terms}
+        print(_json_text(doc))
     elif args.format == "latex":
         print(poly.to_latex())
     else:

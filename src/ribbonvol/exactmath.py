@@ -52,6 +52,8 @@ from .surface import _check_int, perimeter_vectors
 
 Exponents = tuple[int, ...]
 
+_INTS = frozenset({int})
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -129,7 +131,8 @@ class EvenLaurentPoly:
             key = tuple(exps)
             if len(key) != arity:
                 raise ValueError(f"exponent vector {key} does not match arity {arity}")
-            if not all(isinstance(e, int) and not isinstance(e, bool) for e in key):
+            # plain ints only: bool and other int subclasses are refused
+            if not _INTS.issuperset(map(type, key)):
                 raise ValueError(f"exponents must be integers: {key}")
             coeff = _as_fraction(coeff)
             clean[key] = clean[key] + coeff if key in clean else coeff
@@ -256,15 +259,6 @@ class EvenLaurentPoly:
 
     # -- calculus and structure -----------------------------------------
 
-    def t_derivative(self, var: int) -> "EvenLaurentPoly":
-        """The even polynomial ``d/dt_var [t_var * self]``: each term
-        ``c * u^a`` becomes ``(2 a_var + 1) * c * u^a``."""
-        self._check_var(var)
-        # no factor 2a + 1 is zero and the exponents stay, so no term drops
-        return _canonical(
-            self.arity, {e: (2 * e[var] + 1) * c for e, c in self._num.items()}, self._den
-        )
-
     def substitute_slots(self, mapping: Mapping[int, int], new_arity: int) -> "EvenLaurentPoly":
         """Re-embed into ``new_arity`` variables via an injective slot map.
 
@@ -341,39 +335,35 @@ class EvenLaurentPoly:
     # -- canonical forms --------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms sorted lexicographically by exponent vector (the canonical
-        order used by every serializer)."""
+        """Terms sorted lexicographically by exponent vector, the order
+        ``reduced_rows`` prints them in."""
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "terms": [
-                {
-                    "exponents": list(e),
-                    "coefficient": f"{c.numerator}/{c.denominator}",
-                }
-                for e, c in self.sorted_terms()
-            ],
-        }
+    def reduced_rows(self) -> list[tuple[Exponents, int, int]]:
+        """``(exponents, numerator, denominator)`` per term, each coefficient
+        reduced by one gcd, sorted by exponent vector: what the LaTeX and the
+        command line's text and JSON print."""
+        den = self._den
+        rows = []
+        for exps, c in sorted(self._num.items()):
+            common = gcd(c, den)
+            rows.append((exps, c // common, den // common))
+        return rows
 
     def to_latex(self) -> str:
         """Render grouped by total degree, highest first."""
         if not self._num:
             return "0"
         groups: dict[int, list[str]] = {}
-        for exps, c in self.sorted_terms():
+        for exps, num, den in self.reduced_rows():
             mono = "".join(
                 f"t_{{{j + 1}}}^{{{2 * e}}}" for j, e in enumerate(exps) if e
             )
-            if c.denominator == 1:
-                num = str(abs(c.numerator))
-            else:
-                num = rf"\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-            if mono and num == "1":
-                num = ""
-            sign = "-" if c < 0 else "+"
-            groups.setdefault(sum(exps), []).append(f"{sign} {num}{mono}".strip())
+            sign = "-" if num < 0 else "+"
+            coeff = str(abs(num)) if den == 1 else rf"\frac{{{abs(num)}}}{{{den}}}"
+            if mono and coeff == "1":
+                coeff = ""
+            groups.setdefault(sum(exps), []).append(f"{sign} {coeff}{mono}".strip())
         text = " ".join(" ".join(groups[deg]) for deg in sorted(groups, reverse=True))
         return text[2:] if text.startswith("+ ") else text
 

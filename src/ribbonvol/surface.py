@@ -83,17 +83,24 @@ def enumerate_splittings(g: int, labels: Sequence, pairs: bool = False) -> list[
     pool = tuple(labels)
     if len(set(pool)) != len(pool):
         raise ValueError("labels must be distinct")
-    least = 1 if pairs else 2
     out: list[Splitting] = []
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for r in range(len(pool) + 1):
-            if 2 * g1 + r < least or 2 * g2 + len(pool) - r < least:
-                continue
-            for part1 in combinations(pool, r):
-                part2 = tuple(x for x in pool if x not in part1)
-                out.append(Splitting(g1, part1, g2, part2))
+    for g1, r, g2, _ in splitting_shapes(g, len(pool), pairs):
+        for part1 in combinations(pool, r):
+            part2 = tuple(x for x in pool if x not in part1)
+            out.append(Splitting(g1, part1, g2, part2))
     return out
+
+
+def splitting_shapes(g: int, m: int, pairs: bool = False) -> list[tuple[int, int, int, int]]:
+    """The shapes (g1, |I|, g2, |J|) of ``enumerate_splittings(g, labels,
+    pairs)`` over m labels, in its order, each once."""
+    least = 1 if pairs else 2
+    return [
+        (g1, r, g - g1, m - r)
+        for g1 in range(g + 1)
+        for r in range(m + 1)
+        if 2 * g1 + r >= least and 2 * (g - g1) + m - r >= least
+    ]
 
 
 def swap_classes(splittings: Sequence[Splitting]) -> tuple[tuple[Splitting, int], ...]:

@@ -19,35 +19,48 @@ kappa(u):
               [ F_{g-1,n+1}(t_1, t_1, rest)
                 + sum over ordered stable splittings F F ]
 
-where D_j is the divided difference of x |-> kappa(x^2) F_{g,n-1}(x, rest)
-between the slots t_1 and t_j, the derivative of an even h is realized as
-d/dt_j [t_j h] = h + 2 u_j dh/du_j (``t_derivative``), and the genus
-term is dropped at g = 0.  The splitting sum runs over the ordered
-splittings of ``surface.enumerate_splittings``.
+where D_j is the divided difference of x |-> kappa(x^2) F_{g,n-1}(x, rest_j)
+between the slots t_1 and t_j, and the genus term is dropped at g = 0.
+Write F(a_1, rest) for the coefficient of u_1^{a_1} u_2^{a_2} .. u_n^{a_n}.
+Coefficient by coefficient, both terms are finite sums of lookups into
+smaller tables, with no division:
 
-Each distinct term is computed once, by the S_n symmetry of F:
+* the j-term is A sum_j (2a_j+1) s sum_e kappa_e F_{g,n-1}(a_1+a_j+1-e, rest_j),
+  where s = +1 if a_1, a_j >= 0, -1 if both are negative, and 0
+  otherwise: (u_1^k - u_j^k) / (u_1 - u_j) is a sum of u_1^{a_1} u_j^{a_j}
+  with a_1 + a_j = k - 1, over nonnegative pairs for k > 0 and negative
+  pairs, negated, for k < 0;
+* the bracket is B sum_e kappa_e sum_{b+c=a_1-e} [F_{g-1,n+1}(b, c, rest)
+  + sum over splittings F(b, rest_I) F(c, rest_J)], by the shapes
+  (g_1, |I|, g_2, |J|) of ``surface.enumerate_splittings``, which
+  ``surface.splitting_shapes`` lists.
 
-* F_{g,n-1} is symmetric, so the j-term for slot j is the image of the
-  one for slot 2 under the transposition t_2 <-> t_j.  One divided
-  difference is taken, and its n - 2 images are slot substitutions.
-* An ordered splitting and its swap embed to the same product, so each
-  class of ``surface.swap_classes`` is multiplied once, and weighed by its
-  orderings once per group of classes with the same number.
+Every F_{g,n} is S_n-symmetric, so a table keeps one row per sorted tail
+rest = (a_2 <= .. <= a_n): integer numerators {a_1: numerator} over one
+denominator per table.  Each formula scatters the rows of the lower tables
+into these rows.  The splitting sum takes each pair of sorted tails once,
+times the number of ways to place them in rest's slots, and a shape of
+halves and its swap once, weighed by 2.  Slot 1 is singled out, so an
+orbit with k distinct entries is computed k times, once per distinct first
+entry; ``_check_orbits`` raises ``ArithmeticError`` unless the copies agree.
+``compute`` expands only the table asked for, once, into the full terms of
+an ``EvenLaurentPoly``: each row's a_1 followed by every distinct ordering
+of its tail.
 
-Everything is computed bottom-up in the complexity 2g - 2 + n and
-memoized per entry of ``CONFIGS``, the closed set ``compute`` accepts;
-results are canonical (symmetric, exact) and safe to share.
+Tables are built top-down through one memo per entry of ``CONFIGS``, the
+closed set ``compute`` accepts; results are canonical (symmetric, exact)
+and safe to share.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import NamedTuple
 
-from .exactmath import EvenLaurentPoly, divided_difference
-from .surface import check_stable, enumerate_splittings, swap_classes
+from .exactmath import EvenLaurentPoly
+from .surface import check_stable, splitting_shapes
 
 
 class RecursionConfig(NamedTuple):
@@ -108,7 +121,19 @@ SYMPLECTIC = RecursionConfig(
 
 CONFIGS = {c.name: c for c in (LAPLACE, EUCLIDEAN, SYMPLECTIC)}
 
-_tables: dict[str, dict[tuple[int, int], EvenLaurentPoly]] = {name: {} for name in CONFIGS}
+
+class _Table:
+    """F_{g,n} by S_n orbits: ``rows[rest][a_1] / den`` is its coefficient of
+    u_1^{a_1} prod_j u_{j+1}^{rest_j}, for each sorted tail ``rest``;
+    ``poly`` is the expanded polynomial, once ``compute`` has asked for it."""
+
+    __slots__ = ("den", "rows", "poly")
+
+    def __init__(self, den: int, rows: dict, poly: EvenLaurentPoly | None = None):
+        self.den, self.rows, self.poly = den, rows, poly
+
+
+_tables: dict[str, dict[tuple[int, int], _Table]] = {name: {} for name in CONFIGS}
 
 
 def compute(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
@@ -117,51 +142,174 @@ def compute(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
         name = getattr(config, "name", config)
         raise ValueError(f"config {name!r} is not LAPLACE, EUCLIDEAN or SYMPLECTIC")
     check_stable(g, n)
-    table = _tables[config.name]
-    hit = table.get((g, n))
-    if hit is not None:
-        return hit
-    if (g, n) == (0, 3):
-        value = config.base_03
-    elif (g, n) == (1, 1):
-        value = config.base_11
-    else:
-        value = _recurse(config, g, n)
-    table[(g, n)] = value
-    return value
+    table = _table(config, g, n)
+    if table.poly is None:
+        table.poly = _expand(n, table)
+    return table.poly
 
 
-def _recurse(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
-    kappa0 = config.kappa.substitute_slots({0: 0}, n)
-    parts = []
+def _table(config: RecursionConfig, g: int, n: int) -> _Table:
+    tables = _tables[config.name]
+    table = tables.get((g, n))
+    if table is None:
+        if (g, n) in ((0, 3), (1, 1)):
+            base = config.base_03 if n == 3 else config.base_11
+            rows: dict[tuple, dict[int, int]] = {}
+            for exps, c in base._num.items():
+                rows.setdefault(tuple(sorted(exps[1:])), {})[exps[0]] = c
+            table = _Table(base._den, rows, base)
+        else:
+            table = _recurse(config, g, n)
+        tables[(g, n)] = table
+    return table
 
-    if n >= 2:
-        # the j-term for slot b is the image of the one for slot 1 under the
-        # transposition 1 <-> b, because F_{g,n-1} is symmetric
-        prev = compute(config, g, n - 1)
-        f = prev.substitute_slots({0: 0, **{s: s + 1 for s in range(1, n - 1)}}, n) * kappa0
-        h = divided_difference(f, 0, 1)
-        first = h.t_derivative(1)
-        j_parts = [first]
-        for b in range(2, n):
-            swap = dict(enumerate(range(n)))
-            swap[1], swap[b] = b, 1
-            j_parts.append(first.substitute_slots(swap, n))
-        parts.append(config.a_factor * EvenLaurentPoly.sum(n, j_parts))
 
-    def bracket_parts():
-        if g >= 1:
-            yield compute(config, g - 1, n + 1).diagonal_merge()
-        groups: dict[int, list] = {}
-        for (g1, part1, g2, part2), orderings in swap_classes(enumerate_splittings(g, range(1, n))):
-            left = compute(config, g1, len(part1) + 1).substitute_slots(dict(enumerate((0, *part1))), n)
-            right = compute(config, g2, len(part2) + 1).substitute_slots(dict(enumerate((0, *part2))), n)
-            groups.setdefault(orderings, []).append(left * right)
-        for orderings, products in groups.items():
-            yield orderings * EvenLaurentPoly.sum(n, products)
+def _recurse(config: RecursionConfig, g: int, n: int) -> _Table:
+    # F_{g,n-1} first: then a type too deep for the interpreter recurses
+    # (g, 1), (g-1, 2), (g-1, 1), .. to a RecursionError before any work
+    parts = [_j_term(config, g, n)] if n >= 2 else []
+    parts.append(_bracket(config, g, n))
+    den, out = _sum_rows(parts)
+    rows = {}
+    for rest, row in out.items():
+        row = {a1: c for a1, c in row.items() if c}
+        if row:
+            rows[rest] = row
+    common = gcd(den, *(c for row in rows.values() for c in row.values()))
+    if common != 1:
+        rows = {rest: {a1: c // common for a1, c in row.items()} for rest, row in rows.items()}
+    _check_orbits(g, n, rows)
+    return _Table(den // common, rows)
 
-    parts.append(config.b_factor * (kappa0 * EvenLaurentPoly.sum(n, bracket_parts())))
-    return EvenLaurentPoly.sum(n, parts)
+
+def _sum_rows(parts: list[tuple[Fraction, dict]]) -> tuple[int, dict]:
+    """The sum of ``weight * rows`` over ``parts``, as integer rows over the
+    least common denominator of the weights."""
+    den = lcm(*(weight.denominator for weight, _ in parts))
+    out: dict[tuple, dict[int, int]] = {}
+    for weight, rows in parts:
+        scale = weight.numerator * (den // weight.denominator)
+        for rest, row in rows.items():
+            acc = out.setdefault(rest, {})
+            for a, c in row.items():
+                acc[a] = acc.get(a, 0) + scale * c
+    return den, out
+
+
+def _times_kappa(config: RecursionConfig, row: dict[int, int]) -> dict[int, int]:
+    """The row's one-variable polynomial times kappa's numerators."""
+    out: dict[int, int] = {}
+    for (e,), k in config.kappa._num.items():
+        for x, c in row.items():
+            out[x + e] = out.get(x + e, 0) + k * c
+    return out
+
+
+def _j_term(config: RecursionConfig, g: int, n: int):
+    """A sum_j (2a_j+1) s sum_e kappa_e F_{g,n-1}(a_1+a_j+1-e, rest_j), as
+    (weight, integer rows): s = +1 when a_1, a_j >= 0 and -1 when both are
+    negative, so s (2a_j+1) = |2a_j+1|."""
+    prev = _table(config, g, n - 1)
+    out: dict[tuple, dict[int, int]] = {}
+    for tail, row in prev.rows.items():
+        targets = {}
+        for k, v in _times_kappa(config, row).items():
+            # the j-term's value k = a_1 + a_j + 1 splits into a_1, a_j both
+            # nonnegative or both negative
+            for aj in range(k) if k > 0 else range(k, 0):
+                target = targets.get(aj)
+                if target is None:
+                    rest = tuple(sorted((*tail, aj)))
+                    # every slot of rest holding a_j gives the same term
+                    weight = rest.count(aj) * abs(2 * aj + 1)
+                    target = targets[aj] = out.setdefault(rest, {}), weight
+                acc, weight = target
+                acc[k - 1 - aj] = acc.get(k - 1 - aj, 0) + weight * v
+    return config.a_factor / (config.kappa._den * prev.den), out
+
+
+def _bracket(config: RecursionConfig, g: int, n: int):
+    """B sum_e kappa_e sum_{b+c=a_1-e} [F_{g-1,n+1}(b, c, rest) + sum over
+    splittings F(b, rest_I) F(c, rest_J)], as (weight, integer rows)."""
+    parts = []  # (weight, rows of the sum over b + c)
+    if g >= 1:
+        up = _table(config, g - 1, n + 1)
+        rows: dict[tuple, dict[int, int]] = {}
+        for tail, row in up.rows.items():
+            for i, c in enumerate(tail):
+                if i and tail[i - 1] == c:
+                    continue
+                acc = rows.setdefault(tail[:i] + tail[i + 1 :], {})
+                for b, v in row.items():
+                    acc[b + c] = acc.get(b + c, 0) + v
+        parts.append((Fraction(1, up.den), rows))
+    # a splitting and its swap add the same products, so each pair of
+    # shapes is summed once, weighed by 2 unless the halves have one shape
+    for g1, k1, g2, k2 in splitting_shapes(g, n - 1):
+        if (g1, k1) > (g2, k2):
+            continue
+        left, right = _table(config, g1, k1 + 1), _table(config, g2, k2 + 1)
+        weight = 1 if (g1, k1) == (g2, k2) else 2
+        rows = {}
+        for tail1, row1 in left.rows.items():
+            for tail2, row2 in right.rows.items():
+                rest = tuple(sorted(tail1 + tail2))
+                # the subsets I of rest's slots whose values are tail1
+                m = weight * prod(comb(rest.count(v), tail1.count(v)) for v in set(tail1))
+                acc = rows.setdefault(rest, {})
+                for b, x in row1.items():
+                    for c, y in row2.items():
+                        acc[b + c] = acc.get(b + c, 0) + m * x * y
+        parts.append((Fraction(1, left.den * right.den), rows))
+    den, out = _sum_rows(parts)
+    return config.b_factor / (config.kappa._den * den), {
+        rest: _times_kappa(config, row) for rest, row in out.items()
+    }
+
+
+def _check_orbits(g: int, n: int, rows: dict) -> None:
+    """Raise ``ArithmeticError`` unless each S_n orbit's rows agree.  The
+    recursion singles out slot 1, so an orbit is computed once per distinct
+    first entry; every copy must equal the one whose first entry is least,
+    and no copy may be missing."""
+    if n == 1:
+        return
+    copies = 0
+    for rest, row in rows.items():
+        low, distinct = rest[0], len(set(rest))
+        for a1, c in row.items():
+            if a1 <= low:
+                copies += distinct + (a1 < low)
+            elif rows.get(tuple(sorted((*rest[1:], a1))), {}).get(low) != c:
+                raise ArithmeticError(f"({g},{n}): the rows of orbit {(a1, *rest)} differ")
+    if copies != sum(map(len, rows.values())):
+        raise ArithmeticError(f"({g},{n}): an orbit lacks a row")
+
+
+def _expand(n: int, table: _Table) -> EvenLaurentPoly:
+    """The full terms: each row's coefficient at a_1 followed by every
+    distinct ordering of its tail."""
+    orderings: dict[tuple, list[tuple]] = {(): [()]}
+
+    def distinct_orderings(tail: tuple) -> list[tuple]:
+        out = orderings.get(tail)
+        if out is None:
+            out = orderings[tail] = [
+                (v, *rest)
+                for i, v in enumerate(tail)
+                if i == 0 or tail[i - 1] != v
+                for rest in distinct_orderings(tail[:i] + tail[i + 1 :])
+            ]
+        return out
+
+    terms = {}
+    for rest, row in table.rows.items():
+        tails = distinct_orderings(rest)
+        for a1, c in row.items():
+            coeff = Fraction(c, table.den)
+            for tail in tails:
+                terms[(a1, *tail)] = coeff
+    return EvenLaurentPoly(n, terms)
 
 
 def kontsevich_ratio(g: int, n: int) -> Fraction:

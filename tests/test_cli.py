@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from ribbonvol import clear_caches, crosscheck, eo, exactmath, lattice, transform
-from ribbonvol.cli import main
+from ribbonvol import clear_caches, crosscheck, eo, lattice, transform
+from ribbonvol.cli import _json_text, main
 from ribbonvol.exactmath import EvenLaurentPoly
 
 
@@ -212,6 +212,33 @@ def test_poly_json_round_trip(capsys):
     assert poly == compute(LAPLACE, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"arity": 2, "g": 0, "kind": "L", "n": 2, "terms": []},
+        {"b": [1, [], {}, [-2, "x\"y\u00e9"]], "a": {"z": "", "y": [[3]]}},
+        [],
+        {},
+    ],
+)
+def test_the_json_writer_prints_what_json_dumps_prints(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_poly_and_census_json_are_the_indented_json_of_their_documents(capsys):
+    from ribbonvol.lattice import census
+    from ribbonvol.transform import LAPLACE, compute
+
+    code, out = run(capsys, "poly", "L", "1", "3", "--format", "json")
+    terms = [{"coefficient": f"{c.numerator}/{c.denominator}", "exponents": list(e)}
+             for e, c in compute(LAPLACE, 1, 3).sorted_terms()]
+    doc = {"arity": 3, "g": 1, "kind": "L", "n": 3, "terms": terms}
+    assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    code, out = run(capsys, "count", "--gn", "0,4", "--max-sum", "12", "--format", "json")
+    doc = census(0, 4, 12).to_json_dict()
+    assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def test_poly_latex(capsys):
     code, out = run(capsys, "poly", "VE", "1", "1", "--format", "latex")
     assert code == 0
@@ -345,8 +372,8 @@ def test_a_recursion_too_deep_is_an_error_not_a_traceback(capsys, argv):
 
 @pytest.mark.parametrize("argv", [["poly", "L", "1", "2"], ["intersect", "2", "1"]])
 def test_an_engine_arithmetic_error_is_an_error_not_a_traceback(capsys, monkeypatch, argv):
-    # the divided-difference guard raises on an internal arithmetic bug
-    monkeypatch.setattr(exactmath, "_check_quotient", _broken)
+    # the engine's orbit guard raises on an internal arithmetic bug
+    monkeypatch.setattr(transform, "_check_orbits", _broken)
     clear_caches()
     try:
         assert main(argv) == 1

@@ -12,6 +12,7 @@ from ribbonvol.surface import (
     enumerate_splittings,
     is_stable,
     perimeter_vectors,
+    splitting_shapes,
     stable_types,
     swap_classes,
 )
@@ -69,7 +70,7 @@ INT_ARGUMENTS = {
     "verify_eo": ("trials", lambda v: verify_eo(CURVE_LAPLACE, 0, 4, trials=v), (2.5, True, 0)),
     "EvenLaurentPoly": ("arity", EvenLaurentPoly, (1.0, True, -1)),
     "__pow__": ("power", lambda v: _POLY**v, (2.0, True, -1)),
-    "_check_var": ("variable index", _POLY.t_derivative, (1.0, True, 2)),
+    "_check_var": ("variable index", lambda v: _POLY.partial_evaluate({v: 1}), (1.0, True, 2)),
     "laurent_to_series": ("order", lambda v: laurent_to_series(_POLY, v), (4.0, True, -1)),
     "perimeter_vectors": ("n", lambda v: perimeter_vectors(v, 5), (1.0, True, -1)),
     "substitute_slots": (
@@ -173,6 +174,10 @@ def test_splittings_equal_the_bitmask_oracle():
             stable = {sp for sp in oracle
                       if is_stable(sp[0], len(sp[1]) + 1) and is_stable(sp[2], len(sp[3]) + 1)}
             assert set(enumerate_splittings(g, range(m))) == stable, (g, m)
+            for pairs, found in ((True, oracle), (False, stable)):
+                shapes = splitting_shapes(g, m, pairs)
+                assert len(shapes) == len(set(shapes))
+                assert set(shapes) == {(a, len(i), b, len(j)) for a, i, b, j in found}, (g, m)
 
 
 def test_parts_keep_the_order_of_the_labels():

@@ -146,9 +146,10 @@ def _ref_recurse(config, g, n, tables):
 
 
 def test_engine_matches_the_full_recursion_on_fraction_dicts():
-    for config in (LAPLACE, EUCLIDEAN, SYMPLECTIC):
+    # the LAPLACE reference takes about 12 s more at complexity 6
+    for config, top in ((LAPLACE, 5), (EUCLIDEAN, 6), (SYMPLECTIC, 6)):
         tables = {(0, 3): dict(config.base_03.terms), (1, 1): dict(config.base_11.terms)}
-        for g, n in STABLE_TO_LEVEL_5:
+        for g, n in stable_types(top):
             if (g, n) not in tables:
                 tables[(g, n)] = _ref_recurse(config, g, n, tables)
             assert compute(config, g, n).terms == tables[(g, n)], (config.name, g, n)
@@ -318,6 +319,27 @@ def test_cache_control():
     assert info["lattice"] > 0
     clear_caches()
     assert cache_info() == {"engine": {name: 0 for name in CONFIGS}, "lattice": 0}
+
+
+@pytest.mark.parametrize("lower, upper", [((0, 4), (0, 5)), ((1, 2), (1, 3))])
+def test_a_corrupted_lower_table_fails_the_orbit_guard(lower, upper):
+    # one stored numerator of F_{g,n-1}, one more than it should be, breaks
+    # the symmetry of F_{g,n}: its copies of some orbit disagree
+    clear_caches()
+    compute(LAPLACE, *lower)
+    rows = transform._tables["laplace"][lower].rows
+    stored = [(rest, a1) for rest, row in rows.items() for a1 in row]
+    try:
+        for rest, a1 in stored:
+            clear_caches()
+            compute(LAPLACE, *lower)
+            transform._tables["laplace"][lower].rows[rest][a1] += 1
+            error = rf"^\({upper[0]},{upper[1]}\): the rows of orbit"
+            with pytest.raises(ArithmeticError, match=error):
+                compute(LAPLACE, *upper)
+    finally:
+        clear_caches()
+    assert len(stored) > 1
 
 
 # the two volume guards, fired by serving an altered V^S_{1,2} to every
