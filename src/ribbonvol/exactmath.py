@@ -302,15 +302,6 @@ class EvenLaurentPoly:
             out[key] = get(key, 0) + c
         return _canonical(self.arity - 1, out, self._den)
 
-    def leading_part(self) -> "EvenLaurentPoly":
-        """Terms of maximal total degree (in t: ``2*sum(a)``)."""
-        if not self._num:
-            return self
-        top = max(map(sum, self._num))
-        return _canonical(
-            self.arity, {e: c for e, c in self._num.items() if sum(e) == top}, self._den
-        )
-
     def evaluate(self, point: Sequence[object]) -> Fraction:
         """Evaluate at a rational point; nonzero coordinates required
         wherever a negative exponent occurs."""

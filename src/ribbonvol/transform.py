@@ -45,7 +45,9 @@ orbit with k distinct entries is computed k times, once per distinct first
 entry; ``_check_orbits`` raises ``ArithmeticError`` unless the copies agree.
 ``compute`` expands only the table asked for, once, into the full terms of
 an ``EvenLaurentPoly``: each row's a_1 followed by every distinct ordering
-of its tail.
+of its tail.  ``kontsevich_ratio``, ``euclidean_matches_leading`` and
+``intersection_numbers`` never expand: they read one coefficient per
+orbit, at its sorted exponent vector, straight from the rows.
 
 Tables are built top-down through one memo per entry of ``CONFIGS``, the
 closed set ``compute`` accepts; results are canonical (symmetric, exact)
@@ -54,9 +56,8 @@ and safe to share.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import NamedTuple
 
 from .exactmath import EvenLaurentPoly
@@ -312,14 +313,27 @@ def _expand(n: int, table: _Table) -> EvenLaurentPoly:
     return EvenLaurentPoly(n, terms)
 
 
+def _orbits(config: RecursionConfig, g: int, n: int) -> dict[tuple, Fraction]:
+    """F_{g,n}'s coefficient at one sorted exponent vector (a_1, *rest) per
+    S_n orbit, read off the rows without expanding them: ``_check_orbits``
+    has proved that the orbit's other orderings carry the same value."""
+    check_stable(g, n)
+    table = _table(config, g, n)
+    return {
+        (a1, *rest): Fraction(c, table.den)
+        for rest, row in table.rows.items()
+        for a1, c in row.items()
+        if not rest or a1 <= rest[0]
+    }
+
+
 def kontsevich_ratio(g: int, n: int) -> Fraction:
     """The constant V^S_{g,n} / V^E_{g,n}; raises if the two volume
     polynomials are not exactly proportional."""
-    vs = compute(SYMPLECTIC, g, n)
-    ve = compute(EUCLIDEAN, g, n)
-    if set(vs.terms) != set(ve.terms):
+    vs, ve = _orbits(SYMPLECTIC, g, n), _orbits(EUCLIDEAN, g, n)
+    if vs.keys() != ve.keys():
         raise ArithmeticError(f"({g},{n}): volume polynomials have different support")
-    ratios = {vs.terms[e] / ve.terms[e] for e in ve.terms}
+    ratios = {vs[e] / ve[e] for e in ve}
     if len(ratios) != 1:
         raise ArithmeticError(f"({g},{n}): volume polynomials are not proportional")
     return ratios.pop()
@@ -327,7 +341,9 @@ def kontsevich_ratio(g: int, n: int) -> Fraction:
 
 def euclidean_matches_leading(g: int, n: int) -> bool:
     """Whether V^E_{g,n} equals the top-degree part of L_{g,n} exactly."""
-    return compute(EUCLIDEAN, g, n) == compute(LAPLACE, g, n).leading_part()
+    ve, laplace = _orbits(EUCLIDEAN, g, n), _orbits(LAPLACE, g, n)
+    top = max(map(sum, laplace), default=0)
+    return ve == {e: c for e, c in laplace.items() if sum(e) == top}
 
 
 def intersection_numbers(g: int, n: int) -> dict[tuple, Fraction]:
@@ -338,30 +354,20 @@ def intersection_numbers(g: int, n: int) -> dict[tuple, Fraction]:
         V^S = (-1)^n sum_{|d| = 3g-3+n} <tau_d> prod_j (2d_j+1)!! (t_j/2)^{2d_j}
 
     literally -- no renormalization is applied.  Returns a map keyed by
-    the degree vector sorted in decreasing order; extraction must agree
-    across all orderings of each degree vector, and every ordering of every
-    key must be a term, so that the map rebuilds V^S exactly (both verified
-    here; the second by counting the orderings).
+    the degree vector sorted in decreasing order, one value per S_n orbit;
+    the engine's orbit guard has checked that every ordering of each key
+    carries the same coefficient, so the map rebuilds V^S exactly.
     """
-    vs = compute(SYMPLECTIC, g, n)
+    vs = _orbits(SYMPLECTIC, g, n)
     target = 3 * g - 3 + n
-    groups: dict[tuple, list[Fraction]] = {}
-    for exps, coeff in vs.terms.items():
-        if sum(exps) != target or any(e < 0 for e in exps):
+    for exps in vs:
+        if sum(exps) != target or exps[0] < 0:
             raise ArithmeticError(
                 f"({g},{n}): unexpected monomial {exps} in the symplectic volume"
             )
-        groups.setdefault(tuple(sorted(exps, reverse=True)), []).append(coeff)
-    for key, coeffs in groups.items():
-        if coeffs.count(coeffs[0]) != len(coeffs):
-            raise ArithmeticError(f"({g},{n}): extraction differs across orderings of {key}")
-    # each key has n! / prod(multiplicity!) distinct orderings
-    for key, coeffs in groups.items():
-        if len(coeffs) != factorial(n) // prod(map(factorial, Counter(key).values())):
-            raise ArithmeticError(f"({g},{n}): intersection-number round trip failed")
     # (-1)^n prod_j 4^{d_j} / (2d_j+1)!!, once per key since sum(d) = target
     scale = (-1) ** n * 4**target
     return {
-        key: coeffs[0] * Fraction(scale, prod(prod(range(1, 2 * d + 2, 2)) for d in key))
-        for key, coeffs in groups.items()
+        exps[::-1]: coeff * Fraction(scale, prod(prod(range(1, 2 * d + 2, 2)) for d in exps))
+        for exps, coeff in vs.items()
     }

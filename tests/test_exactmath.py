@@ -103,7 +103,7 @@ def test_results_are_canonical():
     at_zero = EvenLaurentPoly(3, {(1, 0, 0): 1, (0, 0, 1): 2}).partial_evaluate({0: 0})
     results = [
         p + q, p - p, -p, p * q, 0 * p, p * F(0), 3 * p,
-        p.leading_part(), p.diagonal_merge(), p.substitute_slots({0: 2, 1: 0}, 3),
+        p.diagonal_merge(), p.substitute_slots({0: 2, 1: 0}, 3),
         p.partial_evaluate({1: 1}), at_zero, EvenLaurentPoly.sum(2, [p, q, -p]),
     ]
     for r in results:
@@ -182,7 +182,6 @@ def test_integer_core_matches_fraction_dicts():
         var = rng.randrange(n)
         perm = rng.sample(range(n + 1), n)
         point = {var: F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))}
-        top = max(map(sum, x), default=None)
         cases = [
             (p + q, _ref_add(x, y)),
             (p - q, _ref_add(x, {e: -c for e, c in y.items()})),
@@ -198,7 +197,6 @@ def test_integer_core_matches_fraction_dicts():
                 lambda e: e[:var] + e[var + 1 :],
                 lambda e, c: c * point[var] ** (2 * e[var]),
             )),
-            (p.leading_part(), {e: c for e, c in x.items() if sum(e) == top}),
         ]
         if n >= 2:
             cases.append((p.diagonal_merge(), _ref_map(x, lambda e: (e[0] + e[1], *e[2:]))))
@@ -241,14 +239,6 @@ def test_diagonal_merge():
     assert q.diagonal_merge() == EvenLaurentPoly(1, {(2,): 1})
     with pytest.raises(ValueError):
         EvenLaurentPoly(1, {(1,): 1}).diagonal_merge()  # one slot has no diagonal
-
-
-def test_leading_part_and_degree():
-    p = EvenLaurentPoly(2, {(2, 1): 1, (3, 0): 2, (0, 0): -7})
-    assert p.leading_part() == EvenLaurentPoly(2, {(2, 1): 1, (3, 0): 2})
-    top = p.leading_part()
-    assert top != p
-    assert top.leading_part() == top
 
 
 def test_evaluate_squares_its_input():

@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import factorial, prod
 
 import pytest
 
@@ -215,8 +217,7 @@ def test_volumes_are_homogeneous_polynomials():
     for g, n in STABLE_TO_LEVEL_5:
         for config in (EUCLIDEAN, SYMPLECTIC):
             poly = compute(config, g, n)
-            assert poly.leading_part() == poly
-            assert max(map(sum, poly.terms)) == 3 * g - 3 + n
+            assert min(map(sum, poly.terms)) == max(map(sum, poly.terms)) == 3 * g - 3 + n
             assert all(min(e) >= 0 for e in poly.terms)
 
 
@@ -342,62 +343,113 @@ def test_a_corrupted_lower_table_fails_the_orbit_guard(lower, upper):
     assert len(stored) > 1
 
 
-# the two volume guards, fired by serving an altered V^S_{1,2} to every
-# caller of ``transform.compute``, the engine's own recursion included: the
-# tables built from it, such as (1,3) and (2,1), stay memoized, so the
-# caches are emptied before and after each case
-def _alter_vs12(monkeypatch, change):
-    real = transform.compute
-
-    def altered(config, g, n):
-        poly = real(config, g, n)
-        if config is not SYMPLECTIC or (g, n) != (1, 2):
-            return poly
-        terms = dict(poly.terms)
-        change(terms)
-        return EvenLaurentPoly(2, terms)
-
+def _add_one_to_a_lower_table():
+    # one stored numerator of V^S_{1,2}, one more than it should be: V^S_{1,3},
+    # built from it, fails the orbit guard
     clear_caches()
-    monkeypatch.setattr(transform, "compute", altered)
+    compute(SYMPLECTIC, 1, 2)
+    rows = transform._tables["symplectic"][(1, 2)].rows
+    rest = min(rows)
+    rows[rest][min(rows[rest])] += 1
 
 
-def _drop(terms):
-    del terms[(0, 2)]
-
-
-def _raise(terms):
-    terms[(0, 2)] += 1
-
-
-@pytest.mark.parametrize(
-    "change, intersection_error, ratio_error",
-    [
-        (_drop, "intersection-number round trip failed", "different support"),
-        (_raise, "extraction differs across orderings", "not proportional"),
-    ],
-)
-def test_the_volume_guards_fire(monkeypatch, change, intersection_error, ratio_error):
-    _alter_vs12(monkeypatch, change)
+def test_a_fired_volume_guard_fails_the_command_line(capsys):
     try:
-        with pytest.raises(ArithmeticError, match=intersection_error):
-            intersection_numbers(1, 2)
-        with pytest.raises(ArithmeticError, match=ratio_error):
-            kontsevich_ratio(1, 2)
-    finally:
-        clear_caches()
-
-
-def test_a_fired_volume_guard_fails_the_command_line(monkeypatch, capsys):
-    _alter_vs12(monkeypatch, _drop)
-    try:
-        assert main(["intersect", "1", "2"]) == 1
+        _add_one_to_a_lower_table()
+        assert main(["intersect", "1", "3"]) == 1
         captured = capsys.readouterr()
+        _add_one_to_a_lower_table()
         assert main(["verify", "--suite", "ratio", "--level", "3"]) == 1
         rows = capsys.readouterr().out.splitlines()
     finally:
         clear_caches()
     assert captured.out == ""
-    assert captured.err == "error: (1,2): intersection-number round trip failed\n"
-    failed = [row.split()[2] for row in rows if row.startswith("FAIL")]
-    assert "VS/VE(1,2)" in failed
+    assert captured.err.startswith("error: (1,3): the rows of orbit ")
+    assert captured.err.endswith(" differ\n")
+    assert captured.err.count("\n") == 1
+    failed = {row.split()[2]: row for row in rows if row.startswith("FAIL")}
+    assert "the rows of orbit" in failed["VS/VE(1,3)"]
     assert rows[-1] == f"{len(failed)} check(s) failed"
+
+
+# the volume guards, fired by altering both stored copies of V^S_{1,2}'s
+# (0, 2) orbit after the build: its rows (2,) at a_1 = 0 and (0,) at a_1 = 2
+def _drop(rows, rest, a1):
+    del rows[rest][a1]
+
+
+def _raise(rows, rest, a1):
+    rows[rest][a1] += 1
+
+
+@pytest.mark.parametrize(
+    "change, error", [(_drop, "different support"), (_raise, "not proportional")]
+)
+def test_the_volume_guards_fire(change, error):
+    clear_caches()
+    try:
+        compute(SYMPLECTIC, 1, 2)
+        rows = transform._tables["symplectic"][(1, 2)].rows
+        change(rows, (2,), 0)
+        change(rows, (0,), 2)
+        with pytest.raises(ArithmeticError, match=rf"^\(1,2\): volume polynomials .*{error}"):
+            kontsevich_ratio(1, 2)
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize(
+    "rest, a1",
+    [((1,), 0), ((3,), -1)],
+    ids=["wrong total degree", "negative exponent"],
+)
+def test_an_unexpected_monomial_fails_the_extraction(rest, a1):
+    clear_caches()
+    try:
+        compute(SYMPLECTIC, 1, 2)
+        transform._tables["symplectic"][(1, 2)].rows.setdefault(rest, {})[a1] = 1
+        monomial = re.escape(str((a1, *rest)))
+        with pytest.raises(ArithmeticError, match=rf"^\(1,2\): unexpected monomial {monomial} in"):
+            intersection_numbers(1, 2)
+    finally:
+        clear_caches()
+
+
+# the consumers read one coefficient per orbit off the engine's rows; these
+# references read the expanded terms instead, every ordering included
+def _reference_ratio(g, n):
+    vs, ve = compute(SYMPLECTIC, g, n).terms, compute(EUCLIDEAN, g, n).terms
+    assert set(vs) == set(ve)
+    ratios = {vs[e] / ve[e] for e in ve}
+    assert len(ratios) == 1
+    return ratios.pop()
+
+
+def _reference_leading(g, n):
+    laplace = compute(LAPLACE, g, n).terms
+    top = max(map(sum, laplace))
+    return dict(compute(EUCLIDEAN, g, n).terms) == {
+        e: c for e, c in laplace.items() if sum(e) == top
+    }
+
+
+def _reference_intersections(g, n):
+    groups = {}
+    for exps, coeff in compute(SYMPLECTIC, g, n).terms.items():
+        groups.setdefault(tuple(sorted(exps, reverse=True)), []).append(coeff)
+    out = {}
+    for key, coeffs in groups.items():
+        # every ordering of the key is a term, each with the same coefficient
+        assert len(coeffs) == factorial(n) // prod(factorial(key.count(d)) for d in set(key))
+        assert coeffs.count(coeffs[0]) == len(coeffs)
+        out[key] = coeffs[0] * (-1) ** n * prod(
+            F(4**d, prod(range(1, 2 * d + 2, 2))) for d in key
+        )
+    return out
+
+
+def test_the_consumers_equal_references_on_the_expanded_terms():
+    for g, n in stable_types(6):
+        assert kontsevich_ratio(g, n) == _reference_ratio(g, n), (g, n)
+        assert euclidean_matches_leading(g, n) is _reference_leading(g, n) is True, (g, n)
+        assert intersection_numbers(g, n) == _reference_intersections(g, n), (g, n)
