@@ -43,7 +43,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .exactmath import EvenLaurentPoly, laurent_to_series
+from .exactmath import EvenLaurentPoly, _series_numerators
 from .surface import _check_int, check_stable, enumerate_splittings, perimeter_vectors, swap_classes
 from .transform import LAPLACE, SYMPLECTIC, compute, intersection_numbers
 
@@ -52,22 +52,26 @@ def series_identity(g: int, n: int, max_sum: int) -> int:
     """Check the coefficient identity for every positive p with sum <= max_sum;
     returns the number of lattice points checked, raises on any mismatch.
     A bound below n admits no lattice point and is rejected with
-    ``ValueError`` rather than passed vacuously."""
+    ``ValueError`` rather than passed vacuously.  Each p is compared in
+    integers, with the numerators of ``_series_numerators``; N and prod p_j
+    are symmetric, so the recursion is asked once per sorted p."""
     # the recursion alone, so that L_{g,n} is checked against an independent
     # route; imported here, since no other check needs the lattice layer
     from .lattice import count_by_recursion
 
     _check_int("max_sum", max_sum, n)
-    series = laurent_to_series(compute(LAPLACE, g, n), max_sum)
-    sign = (-1) ** n
+    poly = compute(LAPLACE, g, n)
+    numerators, den, sign = _series_numerators(poly, max_sum), poly._den, (-1) ** n
+    orbits = {}  # sorted p -> (N's denominator, (-1)^n prod p * N's numerator * den)
     checked = 0
     for p in perimeter_vectors(n, max_sum):
-        expected = sign * prod(p) * count_by_recursion(g, n, p)
-        got = series.coefficient(p)
-        if got != expected:
-            raise ArithmeticError(
-                f"({g},{n}): coefficient of x^{p} is {got}, expected {expected}"
-            )
+        if (key := tuple(sorted(p))) not in orbits:
+            count = count_by_recursion(g, n, key)
+            orbits[key] = count.denominator, sign * prod(key) * count.numerator * den
+        scale, expected = orbits[key]
+        if (got := numerators.get(p, 0)) * scale != expected:
+            raise ArithmeticError(f"({g},{n}): coefficient of x^{p} is {Fraction(got, den)}, "
+                                  f"expected {Fraction(expected, scale * den)}")
         checked += 1
     return checked
 

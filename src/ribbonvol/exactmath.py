@@ -30,10 +30,12 @@ under it), so a polynomial shared through a memo table cannot be altered
 by a caller and is safe under concurrent readers.
 
 The expansion ``laurent_to_series`` substitutes t_j = (x_j + 1)/(x_j - 1)
-into ``p * prod_j (t_j^2 - 1)/2``.  It needs no series arithmetic: the x^m
-coefficient of one factor ``t^{2a} (t^2 - 1)/2`` is the finite binomial sum
-``edge_coefficient(a, m)``, so the coefficient of ``x^m`` in the product is
-``sum over terms c * u^a of c * prod_j edge_coefficient(a_j, m_j)``.
+into ``p * prod_j (t_j^2 - 1)/2``.  The x^m coefficient of one factor
+``t^{2a} (t^2 - 1)/2`` is the finite binomial sum ``edge_coefficient(a, m)``,
+so that of ``x^m`` in the product is ``sum over terms c * u^a of c * prod_j
+edge_coefficient(a_j, m_j)``, with no series arithmetic.  ``_series_numerators``
+forms it in integers one slot at a time, sharing a partial product among the
+vectors with the same prefix.
 
 Coefficients are exact -- arbitrary-precision integers inside, reduced
 ``fractions.Fraction`` values at the API -- and are serialized as exact
@@ -43,12 +45,12 @@ Coefficients are exact -- arbitrary-precision integers inside, reduced
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
-from operator import add, getitem, itemgetter
+from math import comb, gcd, lcm
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .surface import _check_int, perimeter_vectors
+from .surface import _check_int
 
 Exponents = tuple[int, ...]
 
@@ -452,24 +454,39 @@ def edge_coefficient(a: int, m: int) -> int:
     )
 
 
-def laurent_to_series(p: EvenLaurentPoly, order: int) -> TruncatedSeries:
-    """Expand ``p(t(x)) * prod_j (t_j^2 - 1)/2`` at x = 0, truncated to
-    total degree ``order``, where ``t_j = (x_j + 1)/(x_j - 1)``.
-
-    A term ``c * u^a`` contributes ``c * prod_j edge_coefficient(a_j, m_j)``
-    to the coefficient of ``x^m``; each factor starts at x_j^1, so only
-    positive vectors m with ``sum(m) <= order`` carry a coefficient.
-    """
+def _series_numerators(p: EvenLaurentPoly, order: int) -> dict[Exponents, int]:
+    """``laurent_to_series(p, order)``'s nonzero coefficients as numerators over
+    ``p._den``, keyed in lexicographic order.  A level holds, per prefix m_1..m_k,
+    the partial sums of ``c * prod_{i <= k} e(a_i, m_i)`` grouped by the exponents
+    still to come, so a product is formed once for all vectors with that prefix."""
     _check_int("order", order, 0)
-    # the numerators share one denominator, so each vector sums integers
+    if not p.arity:
+        return dict(p._num)
+    rows = {a: [edge_coefficient(a, m) for m in range(order + 1)] for a in set().union(*p._num)}
+    level = [((), 0, p._num)]
+    for left in range(p.arity, 1, -1):  # a prefix leaves each later entry at least 1
+        nxt = []
+        for prefix, total, partial in level:
+            split = [(rows[exps[0]], exps[1:], c) for exps, c in partial.items()]
+            for m in range(1, order - total - left + 2):
+                merged: dict[Exponents, int] = {}
+                for row, rest, c in split:
+                    merged[rest] = merged.get(rest, 0) + c * row[m]
+                nxt.append((prefix + (m,), total + m, merged))
+        level = nxt
+    out = {}
+    for prefix, total, partial in level:  # the last slot: one sum per vector
+        split = [(rows[a], c) for (a,), c in partial.items()]
+        for m in range(1, order - total + 1):
+            if value := sum([c * row[m] for row, c in split]):
+                out[prefix + (m,)] = value
+    return out
+
+
+def laurent_to_series(p: EvenLaurentPoly, order: int) -> TruncatedSeries:
+    """Expand ``p(t(x)) * prod_j (t_j^2 - 1)/2`` at x = 0 to total degree ``order``,
+    where ``t_j = (x_j + 1)/(x_j - 1)``: the ``Fraction`` view of ``_series_numerators``.
+    Each factor starts at x_j^1, so only positive m with ``sum(m) <= order`` occur."""
     den = p._den
-    # per exponent a, the row m -> e(a, m) for m <= order
-    exponents = {a for exps in p._num for a in exps}
-    rows = {a: [edge_coefficient(a, m) for m in range(order + 1)] for a in exponents}
-    weighted = [(c, [rows[a] for a in exps]) for exps, c in p._num.items()]
-    out: dict[Exponents, Fraction] = {}
-    for m in perimeter_vectors(p.arity, order):
-        total = sum(prod(map(getitem, cols, m), start=num) for num, cols in weighted)
-        if total:
-            out[m] = Fraction(total, den)
-    return TruncatedSeries(p.arity, order, MappingProxyType(out))
+    terms = {m: Fraction(c, den) for m, c in _series_numerators(p, order).items()}
+    return TruncatedSeries(p.arity, order, MappingProxyType(terms))

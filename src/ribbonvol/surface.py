@@ -46,19 +46,13 @@ def perimeter_vectors(n: int, max_sum: int, ascending: bool = False) -> Iterator
     """Every positive integer n-vector with sum <= ``max_sum``, in
     lexicographic order; only the nondecreasing ones when ``ascending``."""
     _check_int("n", n, 0)
-
-    def extend(k: int, budget: int, floor: int) -> Iterator[tuple]:
-        if k == 0:
-            if budget >= 0:
-                yield ()
-            return
-        # the k entries left are each at least ``first`` when ascending
-        top = budget // k if ascending else budget - (k - 1)
-        for first in range(floor, top + 1):
-            for tail in extend(k - 1, budget - first, first if ascending else 1):
-                yield (first,) + tail
-
-    return extend(n, max_sum, 1)
+    # one level per entry, prefixes in lexicographic order, each leaving room for the rest
+    level = [()] if max_sum >= 0 else []
+    for k in range(n, 0, -1):
+        level = [prefix + (x,) for prefix in level
+                 for x in (range(prefix[-1] if prefix else 1, (max_sum - sum(prefix)) // k + 1)
+                           if ascending else range(1, max_sum - sum(prefix) - k + 2))]
+    return iter(level)
 
 
 class Splitting(NamedTuple):

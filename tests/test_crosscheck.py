@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonvol import clear_caches, crosscheck, transform
+from ribbonvol import clear_caches, crosscheck, lattice, transform
 from ribbonvol.cli import main
 from ribbonvol.crosscheck import (
     CLASSICAL_INTERSECTIONS,
@@ -16,7 +16,7 @@ from ribbonvol.crosscheck import (
     verify_continuous_recursion,
 )
 from ribbonvol.exactmath import EvenLaurentPoly
-from ribbonvol.surface import stable_types
+from ribbonvol.surface import perimeter_vectors, stable_types
 from ribbonvol.transform import SYMPLECTIC, compute
 
 F = Fraction
@@ -42,6 +42,81 @@ def test_series_identity_higher_genus():
     # not required below, but the same bridge holds at genus two and three
     assert series_identity(2, 1, 10) == 10
     assert series_identity(3, 1, 8) == 8
+
+
+def _changed_l04(monkeypatch, delta):
+    """Make ``crosscheck.compute`` return L(0,4) with ``delta`` added to its
+    coefficients; every other table is the engine's."""
+    real = crosscheck.compute
+
+    def changed(config, g, n):
+        poly = real(config, g, n)
+        if (g, n) != (0, 4):
+            return poly
+        terms = dict(poly.terms)
+        for exps, d in delta.items():
+            terms[exps] = terms.get(exps, 0) + d
+        return EvenLaurentPoly(4, terms)
+
+    monkeypatch.setattr(crosscheck, "compute", changed)
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        # one coefficient, at an unsorted exponent vector: every x^p changes
+        (
+            {(0, -1, 0, -1): F(1, 128)},
+            "(0,4): coefficient of x^(1, 1, 1, 1) is 1/8, expected 0",
+        ),
+        # u_1 - u_2 changes no x^p with p_1 = p_2, so the first p it changes,
+        # (1, 2, 1, 1), is unsorted, and its sorted (1, 1, 1, 2) still agrees
+        (
+            {(1, 0, 0, 0): F(1, 256), (0, 1, 0, 0): F(-1, 256)},
+            "(0,4): coefficient of x^(1, 2, 1, 1) is -1/4, expected 0",
+        ),
+    ],
+)
+def test_series_identity_fails_on_a_changed_coefficient(monkeypatch, delta, message):
+    _changed_l04(monkeypatch, delta)
+    with pytest.raises(ArithmeticError) as info:
+        series_identity(0, 4, 10)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "orbit, message",
+    [
+        ((1, 1, 2, 2), "(0,4): coefficient of x^(1, 1, 2, 2) is 8, expected 12"),
+        ((1, 2, 3, 4), "(0,4): coefficient of x^(1, 2, 3, 4) is 168, expected 192"),
+        ((2, 2, 2, 2), "(0,4): coefficient of x^(2, 2, 2, 2) is 48, expected 64"),
+    ],
+)
+def test_series_identity_fails_on_a_changed_count(monkeypatch, orbit, message):
+    # one orbit's count is off by one: the check asks the recursion once per
+    # sorted p, and that one answer must still be compared
+    real = lattice.count_by_recursion
+
+    def changed(g, n, p):
+        return real(g, n, p) + (tuple(sorted(p)) == orbit)
+
+    monkeypatch.setattr(lattice, "count_by_recursion", changed)
+    with pytest.raises(ArithmeticError) as info:
+        series_identity(0, 4, 10)
+    assert str(info.value) == message
+
+
+def test_series_identity_asks_the_recursion_once_per_orbit(monkeypatch):
+    asked = []
+    real = lattice.count_by_recursion
+
+    def recording(g, n, p):
+        asked.append(p)
+        return real(g, n, p)
+
+    monkeypatch.setattr(lattice, "count_by_recursion", recording)
+    assert series_identity(0, 4, 12) == 495  # C(12, 4): every p is compared
+    assert sorted(asked) == list(perimeter_vectors(4, 12, ascending=True))
 
 
 def test_perimeter_volume_smallest():

@@ -419,6 +419,65 @@ def test_series_of_every_small_type_matches_the_convolution():
         assert laurent_to_series(p, 12).terms == _reference_series_terms(p, 12), (g, n)
 
 
+def _lex_vectors(n, max_sum):
+    """Positive n-vectors with sum <= max_sum, first entry slowest."""
+    if n == 0:
+        return [()] if max_sum >= 0 else []
+    return [
+        (first,) + rest
+        for first in range(1, max_sum - n + 2)
+        for rest in _lex_vectors(n - 1, max_sum - first)
+    ]
+
+
+def _per_vector_series(p, order, vectors=None):
+    """The parent's per-vector formula: at each vector m, the sum over terms
+    c * u^a of c * prod_j e(a_j, m_j), in integers over one denominator."""
+    den = 1
+    for c in p.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    rows = {a: [edge_coefficient(a, m) for m in range(order + 1)] for e in p.terms for a in e}
+    weighted = [(c.numerator * (den // c.denominator), [rows[a] for a in e]) for e, c in p.terms.items()]
+    out = {}
+    for m in _lex_vectors(p.arity, order) if vectors is None else vectors:
+        total = sum(prod(row[mj] for row, mj in zip(cols, m)) * c for c, cols in weighted)
+        if total:
+            out[m] = F(total, den)
+    return out
+
+
+def _check_against_the_per_vector_formula(p, expected, orders):
+    for order in orders:
+        terms = laurent_to_series(p, order).terms
+        assert terms == {m: c for m, c in expected.items() if sum(m) <= order}, order
+        assert list(terms) == sorted(terms), order  # lexicographic key order
+
+
+def test_series_of_every_type_to_complexity_4_matches_the_per_vector_formula():
+    # L_{g,n} is symmetric (asserted below), so the per-vector formula is
+    # formed at the sorted vectors and read off at every other one; (0,6) has
+    # 8,008 vectors at order 16 against 74 sorted ones
+    for g, n in stable_types(4):
+        p = compute(LAPLACE, g, n)
+        assert all(p.terms[tuple(sorted(e))] == c for e, c in p.terms.items()), (g, n)
+        sorted_ref = _per_vector_series(p, 16, [m for m in _lex_vectors(n, 16) if list(m) == sorted(m)])
+        expected = {m: sorted_ref[s] for m in _lex_vectors(n, 16) if (s := tuple(sorted(m))) in sorted_ref}
+        assert len(expected) >= len(sorted_ref) > 0, (g, n)
+        _check_against_the_per_vector_formula(p, expected, range(17))  # orders below n included
+
+
+def test_series_of_unsymmetric_polynomials_matches_the_per_vector_formula():
+    # a slot mixed up with another would go unseen on the symmetric L_{g,n}
+    rng = random.Random(2055)
+    for arity in (0, 1, 2, 3, 4):
+        for _ in range(6):
+            p = EvenLaurentPoly(arity, _random_terms(rng, arity))
+            _check_against_the_per_vector_formula(p, _per_vector_series(p, 10), range(11))
+    for arity in (0, 3):  # the zero polynomial
+        _check_against_the_per_vector_formula(EvenLaurentPoly.zero(arity), {}, range(6))
+    assert _per_vector_series(EvenLaurentPoly.constant(0, F(3, 4)), 5) == {(): F(3, 4)}
+
+
 def test_series_terms_are_a_read_only_view():
     s = laurent_to_series(EvenLaurentPoly.constant(1, 1), 3)
     assert isinstance(s, TruncatedSeries)

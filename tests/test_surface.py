@@ -216,3 +216,31 @@ def test_perimeter_vectors_in_lexicographic_order():
             assert list(perimeter_vectors(n, max_sum)) == every
             ascending = [p for p in every if list(p) == sorted(p)]
             assert list(perimeter_vectors(n, max_sum, ascending=True)) == ascending
+
+
+def _recursive_perimeter_vectors(n, max_sum, ascending):
+    """The recursive enumeration the flat levels replaced: each first entry
+    in increasing order, then every tail that fits after it."""
+    if n == 0:
+        return [()] if max_sum >= 0 else []
+
+    def extend(k, budget, floor):
+        if k == 0:
+            return [()]
+        top = budget // k if ascending else budget - (k - 1)
+        return [
+            (first,) + tail
+            for first in range(floor, top + 1)
+            for tail in extend(k - 1, budget - first, first if ascending else 1)
+        ]
+
+    return extend(n, max_sum, 1)
+
+
+def test_flat_perimeter_vectors_equal_the_recursive_enumeration():
+    for n in range(6):
+        for max_sum in range(-2, 21):
+            for ascending in (False, True):
+                expected = _recursive_perimeter_vectors(n, max_sum, ascending)
+                assert list(perimeter_vectors(n, max_sum, ascending)) == expected, (n, max_sum, ascending)
+    assert len(list(perimeter_vectors(5, 20))) == 15504  # C(20, 5)
