@@ -21,8 +21,11 @@
   with I(L) = Int_0^L q (L - q) v_{g,n-1}(q, rest minus p_j) dq and the
   splitting sum over ordered stable splittings (the simplex weight is
   symmetric, so each ``surface.swap_classes`` class is integrated once and
-  weighed).  Every integral is a polynomial, so the identity holds as
-  polynomials in u_j = p_j^2.  For a term c q^{2a} of v_{g,n-1}, with
+  weighed).  The kernel in (q_1, q_2, p_2..p_n) multiplies each splitting's
+  halves term by term in integers, each half placed at its slots: its first
+  at q_1 or q_2, its tail at its part's places.  Every integral is a
+  polynomial, so the identity holds as polynomials in u_j = p_j^2.  For a
+  term c q^{2a} of v_{g,n-1}, with
   m = 2a + 3, I(L) = c L^m / ((m - 1) m) and the binomial expansion keeps
   the odd powers of p_1:
 
@@ -43,7 +46,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .exactmath import EvenLaurentPoly, _series_numerators
+from .exactmath import EvenLaurentPoly, _canonical, _series_numerators
 from .surface import _check_int, check_stable, enumerate_splittings, perimeter_vectors, swap_classes
 from .transform import LAPLACE, SYMPLECTIC, compute, intersection_numbers
 
@@ -138,14 +141,18 @@ def continuous_rhs(g: int, n: int) -> EvenLaurentPoly:
 
     # the simplex terms, from the kernel in (q_1, q_2, p_2..p_n)
     kernel = [perimeter_volume(g - 1, n + 1)] if g else []
-    for sp, orderings in swap_classes(enumerate_splittings(g, range(2, n + 1))):
-        halves = [
-            perimeter_volume(gp, len(part) + 1).substitute_slots(
-                dict(enumerate((slot, *part))), n + 1
-            )
-            for slot, (gp, part) in enumerate(((sp.g1, sp.part1), (sp.g2, sp.part2)))
-        ]
-        kernel.append(orderings * (halves[0] * halves[1]))
+    for sp, orderings in swap_classes(enumerate_splittings(g, range(n - 1))):
+        left = perimeter_volume(sp.g1, len(sp.part1) + 1)
+        right = perimeter_volume(sp.g2, len(sp.part2) + 1)
+        # entry j of rest is entry place[j] of the two tails laid end to end;
+        # distinct pairs of terms land on distinct keys
+        place = [(sp.part1 + sp.part2).index(j) for j in range(n - 1)]
+        num: dict[tuple[int, ...], int] = {}
+        for (a, *tail1), c1 in left._num.items():
+            for (b, *tail2), c2 in right._num.items():
+                tails = tail1 + tail2
+                num[(a, b, *[tails[i] for i in place])] = orderings * c1 * c2
+        kernel.append(_canonical(n + 1, num, left._den * right._den))
     for (a, b, *rest), c in EvenLaurentPoly.sum(n + 1, kernel).terms.items():
         weight = Fraction(
             factorial(2 * a + 1) * factorial(2 * b + 1), factorial(2 * a + 2 * b + 5)

@@ -20,8 +20,7 @@ form.  Every ``EvenLaurentPoly`` operation works on the integers alone --
 no gcd per add or multiply, one gcd pass per result -- and stores its
 result through the private ``_trusted`` constructor unchecked, after
 ``_canonical`` has dropped what cancelled and divided out the common
-factor.  The divided-difference guard is written with these operations,
-not with dicts of its own.
+factor.
 
 Immutability is enforced, not a convention: attributes cannot be rebound,
 and ``terms`` is a read-only ``types.MappingProxyType`` of exponents to
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add, itemgetter
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -200,6 +199,8 @@ class EvenLaurentPoly:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "EvenLaurentPoly") -> "EvenLaurentPoly":
+        if not isinstance(other, EvenLaurentPoly):
+            return NotImplemented
         return EvenLaurentPoly.sum(self.arity, (self, other))
 
     def __neg__(self) -> "EvenLaurentPoly":
@@ -207,7 +208,7 @@ class EvenLaurentPoly:
         return EvenLaurentPoly._trusted(self.arity, negated, self._den)
 
     def __sub__(self, other: "EvenLaurentPoly") -> "EvenLaurentPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, EvenLaurentPoly) else NotImplemented
 
     def __mul__(self, other) -> "EvenLaurentPoly":
         if isinstance(other, EvenLaurentPoly):
@@ -260,37 +261,6 @@ class EvenLaurentPoly:
         return f"EvenLaurentPoly({self.arity}, {' + '.join(bits)})"
 
     # -- calculus and structure -----------------------------------------
-
-    def substitute_slots(self, mapping: Mapping[int, int], new_arity: int) -> "EvenLaurentPoly":
-        """Re-embed into ``new_arity`` variables via an injective slot map.
-
-        ``mapping[old_slot] = new_slot`` is total: it names every old slot
-        exactly once, and nothing else, or ``ValueError`` is raised.  New
-        slots that it does not name get exponent 0.
-        """
-        _check_int("new_arity", new_arity, 0)
-        if mapping.keys() != set(range(self.arity)):
-            raise ValueError(f"slot map keys must be the slots 0..{self.arity - 1}")
-        targets = list(mapping.values())
-        if len(set(targets)) != len(targets):
-            raise ValueError("slot map must be injective")
-        if any(not 0 <= s < new_arity for s in targets):
-            raise ValueError("slot map target out of range")
-        # new slot -> old slot, or the index of a 0 appended to the exponents
-        source = [self.arity] * new_arity
-        for old, new in mapping.items():
-            source[new] = old
-        pad = (0,) if self.arity in source else ()
-        if new_arity > 1:
-            pick = itemgetter(*source)
-        else:  # itemgetter returns a bare item, not a tuple, for one index
-
-            def pick(padded):
-                return tuple(padded[s] for s in source)
-
-        # an injective map keeps distinct terms distinct
-        out = {pick(exps + pad): c for exps, c in self._num.items()}
-        return EvenLaurentPoly._trusted(new_arity, out, self._den)
 
     def diagonal_merge(self) -> "EvenLaurentPoly":
         """Identify variable 1 with variable 0: exponents add, slot 1
@@ -367,55 +337,6 @@ def _fill(poly: EvenLaurentPoly, arity: int, num: dict[Exponents, int], den: int
     setattr_(poly, "_num", num)
     setattr_(poly, "_den", den)
     setattr_(poly, "_view", None)
-
-
-def divided_difference(f: EvenLaurentPoly, slot_a: int, slot_b: int) -> EvenLaurentPoly:
-    """Exact divided difference ``(f - f|_{u_a -> u_b}) / (u_a - u_b)``.
-
-    ``f`` must not involve ``slot_b``; the result is an even Laurent
-    polynomial of the same arity using both slots.  Division is performed
-    by synthetic expansion per monomial; ``_check_quotient`` then multiplies
-    back with the ring operations, and a quotient that does not give
-    ``f - f|_{a<->b}`` is an internal arithmetic bug: ``ArithmeticError``.
-    """
-    f._check_var(slot_a)
-    f._check_var(slot_b)
-    if slot_a == slot_b:
-        raise ValueError("divided difference needs two distinct slots")
-    if any(e[slot_b] for e in f._num):
-        raise ValueError(f"slot {slot_b} must be free in the input")
-
-    # (u_a^k - u_b^k)/(u_a - u_b) = +sum_{0 <= i < k} u_a^i u_b^{k-1-i}   (k > 0)
-    #                             = -sum_{k <= i < 0} u_a^i u_b^{k-1-i}   (k < 0)
-    # The exponent sum i + (k-1-i) = k-1 recovers k, so no two output
-    # terms meet.
-    out: dict[Exponents, int] = {}
-    for exps, c in f._num.items():
-        k = exps[slot_a]
-        if k > 0:
-            powers = range(k)
-        elif k < 0:
-            powers, c = range(k, 0), -c
-        else:
-            continue
-        key = list(exps)
-        for i in powers:
-            key[slot_a], key[slot_b] = i, k - 1 - i
-            out[tuple(key)] = c
-    result = _canonical(f.arity, out, f._den)
-    _check_quotient(f, result, slot_a, slot_b)
-    return result
-
-
-def _check_quotient(f: EvenLaurentPoly, q: EvenLaurentPoly, slot_a: int, slot_b: int) -> None:
-    """Raise ``ArithmeticError`` unless ``(u_a - u_b) q == f - f|_{a<->b}``,
-    checked with the ring operations themselves."""
-    arity = f.arity
-    u_a = EvenLaurentPoly.monomial(arity, [int(i == slot_a) for i in range(arity)])
-    u_b = EvenLaurentPoly.monomial(arity, [int(i == slot_b) for i in range(arity)])
-    swap = {i: i for i in range(arity)} | {slot_a: slot_b, slot_b: slot_a}
-    if (u_a - u_b) * q != f - f.substitute_slots(swap, arity):
-        raise ArithmeticError("divided difference left a nonzero remainder")
 
 
 class TruncatedSeries(NamedTuple):

@@ -83,7 +83,7 @@ import threading
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm, prod
-from operator import getitem, itemgetter, mul
+from operator import getitem, mul
 from typing import Callable, Sequence
 
 from ._version import __version__
@@ -495,7 +495,7 @@ def _load_cache(path, g, n, max_sum):
             if tuple(vector) != p or den <= 0 or gcd(num, den) != 1 or f"{num}/{den}" != value:
                 return None
             text.append((p, value))
-        numbers = chain(head[2:], *map(itemgetter(0), doc["entries"]))
+        numbers = chain(head[2:], *(vector for vector, _ in doc["entries"]))
     except (OSError, ValueError, TypeError, KeyError, AttributeError, RecursionError):
         return None
     return CountTable(g, n, max_sum, text) if set(map(type, numbers)) == {int} else None

@@ -19,7 +19,7 @@ from ribbonvol.crosscheck import (
     verify_continuous_recursion,
 )
 from ribbonvol.eo import CURVES, sample_spectators, verify_eo
-from ribbonvol.exactmath import EvenLaurentPoly, divided_difference
+from ribbonvol.exactmath import EvenLaurentPoly
 from ribbonvol.lattice import census, count, oracle_n11
 from ribbonvol.surface import stable_types
 from ribbonvol.transform import (
@@ -31,6 +31,7 @@ from ribbonvol.transform import (
     intersection_numbers,
     kontsevich_ratio,
 )
+from test_exactmath import divided_difference
 
 F = Fraction
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -16,8 +17,9 @@ from ribbonvol.crosscheck import (
     verify_continuous_recursion,
 )
 from ribbonvol.exactmath import EvenLaurentPoly
-from ribbonvol.surface import perimeter_vectors, stable_types
+from ribbonvol.surface import enumerate_splittings, perimeter_vectors, stable_types
 from ribbonvol.transform import SYMPLECTIC, compute
+from test_transform import _acc, _ref_embed, _ref_mul
 
 F = Fraction
 
@@ -155,6 +157,50 @@ def test_continuous_rhs_is_the_volume():
     assert {(2, 1), (3, 1)} <= set(RECURSIVE_TYPES)
     for g, n in RECURSIVE_TYPES:
         assert continuous_rhs(g, n) == perimeter_volume(g, n), (g, n)
+
+
+def _ref_rhs(volume, g, n):
+    """``continuous_rhs`` on Fraction dicts, over every ordered splitting,
+    with each half's slots given by ``_ref_embed``."""
+    out = {}
+    for (a, *others), c in (volume(g, n - 1).terms.items() if n > 1 else ()):
+        m = 2 * a + 3
+        for j in range(1, n):
+            for i in range(a + 2):
+                exps = [a + 1 - i, *others]
+                exps.insert(j, i)
+                _acc(out, tuple(exps), 2 * c * comb(m, 2 * i) / ((m - 1) * m))
+    kernel = dict(volume(g - 1, n + 1).terms) if g else {}
+    for sp in enumerate_splittings(g, range(2, n + 1)):
+        left = _ref_embed(volume(sp.g1, len(sp.part1) + 1).terms, [0, *sp.part1], n + 1)
+        right = _ref_embed(volume(sp.g2, len(sp.part2) + 1).terms, [1, *sp.part2], n + 1)
+        for e, c in _ref_mul(left, right).items():
+            _acc(kernel, e, c)
+    for (a, b, *rest), c in kernel.items():
+        weight = F(factorial(2 * a + 1) * factorial(2 * b + 1), factorial(2 * a + 2 * b + 5))
+        _acc(out, (a + b + 2, *rest), 2 * c * weight)
+    return out
+
+
+def test_splitting_product_places_each_half_at_its_slots(monkeypatch):
+    # the true volumes are symmetric, so a half's slots could be permuted
+    # unseen; v_{0,4} + u_2 + 3 u_3^2 is not, and it is a half of (0,6) and
+    # both halves of one (0,7) splitting
+    true_volume = crosscheck.perimeter_volume
+
+    def unsymmetric(g, n):
+        volume = true_volume(g, n)
+        if (g, n) == (0, 4):
+            volume = volume + EvenLaurentPoly(4, {(0, 1, 0, 0): 1, (0, 0, 2, 0): 3})
+        return volume
+
+    for g, n in [(0, 6), (0, 7)]:
+        assert dict(continuous_rhs(g, n).terms) == _ref_rhs(true_volume, g, n), (g, n)
+    monkeypatch.setattr(crosscheck, "perimeter_volume", unsymmetric)
+    for g, n in [(0, 6), (0, 7)]:
+        want = _ref_rhs(unsymmetric, g, n)
+        assert want != _ref_rhs(true_volume, g, n), (g, n)
+        assert dict(continuous_rhs(g, n).terms) == want, (g, n)
 
 
 def test_continuous_recursion_sees_a_wrong_kernel(monkeypatch, capsys):

@@ -1,0 +1,84 @@
+"""A standing mutation gate for ``ribbonvol verify``.
+
+Each mutant is one exact text edit to a copy of ``src/``.  The default
+``verify`` run on that copy must exit 1, and each suite named in the
+mutant's row must fail at least the recorded number of rows.  The counts
+are lower bounds: detection may grow, but it may not shrink unseen.  The
+old text must occur exactly once in its file, so a refactor that moves or
+rewrites it fails here, and the mutant is restated with it.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# name -> (file, old text, new text, {suite: least failing rows})
+MUTANTS = {
+    "perimeter factor 2^(2a)": (
+        "crosscheck.py", "Fraction(2 ** (2 * a + 1),", "Fraction(2 ** (2 * a),", {"symplectic": 2}
+    ),
+    "simplex weight without its 2": (
+        "crosscheck.py", "2 * c * weight)", "c * weight)", {"symplectic": 1}
+    ),
+    "edge term without its 2": (
+        "crosscheck.py", "2 * c * comb(m, 2 * i)", "c * comb(m, 2 * i)", {"symplectic": 2}
+    ),
+    "edge coefficient without its 2": (
+        "exactmath.py", "return 2 * sum(", "return sum(", {"series": 4}
+    ),
+    "N_{0,3} = 2": (
+        "lattice.py",
+        "if (g, n) == (0, 3):\n        return Fraction(1)",
+        "if (g, n) == (0, 3):\n        return Fraction(2)",
+        {"series": 3},
+    ),
+    "symplectic pair weight 1": (
+        "eo.py", "pair_weight=Fraction(1, 2),", "pair_weight=Fraction(1),", {"eo": 4}
+    ),
+}
+
+
+def _verify(src: Path) -> tuple[int, Counter, int]:
+    """Exit code, failing rows per suite and row count of the default
+    ``verify --format jsonl`` run with ``src`` as the package source."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ribbonvol.cli", "verify", "--format", "jsonl"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    return proc.returncode, Counter(row["suite"] for row in rows if not row["ok"]), len(rows)
+
+
+def _copy(tmp_path: Path) -> Path:
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return copy
+
+
+def test_the_unmutated_copy_passes(tmp_path):
+    code, failed, rows = _verify(_copy(tmp_path))
+    assert (code, failed, rows) == (0, Counter(), 55)
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_fails_verify(name, tmp_path):
+    file, old, new, kills = MUTANTS[name]
+    copy = _copy(tmp_path)
+    path = copy / "ribbonvol" / file
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1, f"{file}: the old text of {name!r} must occur exactly once"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, failed, rows = _verify(copy)
+    assert code == 1, name
+    assert rows == 55, name
+    for suite, least in kills.items():
+        assert failed[suite] >= least, (name, suite, dict(failed))

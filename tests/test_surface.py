@@ -54,9 +54,8 @@ def test_entry_points_reject_non_integer_types(entry, g, n):
 # float, a bool and an out-of-range int each raise a ValueError that names
 # the argument.  census(0, 4, 12.0) and its kin once raised a TypeError from
 # ``range``, oracle_n11(True) and trials=True once answered silently,
-# perimeter_vectors(-1, 5) once recursed until RecursionError, a negative
-# trial count once drew nothing and substitute_slots({}, -1) once returned
-# a polynomial of arity -1
+# perimeter_vectors(-1, 5) once recursed until RecursionError and a negative
+# trial count once drew nothing
 _POLY = EvenLaurentPoly(2, {(1, 0): 1})
 INT_ARGUMENTS = {
     "enumerate_splittings": ("g", lambda v: enumerate_splittings(v, ()), (1.0, True, -1)),
@@ -73,9 +72,6 @@ INT_ARGUMENTS = {
     "_check_var": ("variable index", lambda v: _POLY.partial_evaluate({v: 1}), (1.0, True, 2)),
     "laurent_to_series": ("order", lambda v: laurent_to_series(_POLY, v), (4.0, True, -1)),
     "perimeter_vectors": ("n", lambda v: perimeter_vectors(v, 5), (1.0, True, -1)),
-    "substitute_slots": (
-        "new_arity", lambda v: EvenLaurentPoly.constant(0, 3).substitute_slots({}, v), (2.0, True, -1)
-    ),
     "stable_types": ("max_complexity", stable_types, (2.5, True, -2)),
     "sample_spectators": (
         "trials", lambda v: sample_spectators("laplace", 0, 4, v, 0), (2.5, True, -1)
