@@ -53,8 +53,8 @@ def __dir__() -> list[str]:
 
 
 def clear_caches() -> None:
-    """Empty the engine tables of every configuration, and the lattice memo
-    and moment tables."""
+    """Empty the engine tables of every configuration, and every cached
+    lattice table."""
     from . import lattice, transform
 
     for table in transform._tables.values():
@@ -63,11 +63,11 @@ def clear_caches() -> None:
 
 
 def cache_info() -> dict:
-    """Entries held per engine configuration, and the lattice memo size:
-    ``{"engine": {config name: tables}, "lattice": memo entries}``."""
+    """Entries held per engine configuration, and the counts the lattice
+    recursion holds: ``{"engine": {config name: tables}, "lattice": counts}``."""
     from . import lattice, transform
 
     return {
         "engine": {name: len(table) for name, table in transform._tables.items()},
-        "lattice": len(lattice._memo),
+        "lattice": lattice._recursion.cache_info().currsize,
     }

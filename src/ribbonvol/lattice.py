@@ -50,9 +50,10 @@ Every table holds Python integers: the numerators of its entries and of
 both prefix sums over one table denominator.  An entry whose denominator
 does not divide it raises it to their lcm and rescales the numerators in
 place.  So the regrouped sums equal the direct loops exactly, and a count
-becomes a Fraction only once, when it is memoized.  The memo table is
+becomes a Fraction only once, when it is cached.  Every table is built
+once by a private builder under ``functools.cache``; the recursion's is
 keyed by (g, n, perimeters sorted descending), so the pivot slot holds
-the largest perimeter.
+the largest perimeter, and holds no zero total and no base case.
 
 A single count far from the small perimeters is not run up to p.  Write
 d = 3g - 3 + n and r_j = 2 - (p_j mod 2).  On the parity class of p, N_{g,n}
@@ -64,7 +65,7 @@ with distinct nodes on each axis is unisolvent (Dyn and Floater,
 *Multivariate polynomial interpolation on lower sets*, J. Approx. Theory
 177 (2014)), so divided differences taken one axis at a time in
 x_j = p_j^2 give the Newton coefficients C_k, integer numerators over one
-denominator, memoized per (g, n, number of odd perimeters).  Then
+denominator, cached per (g, n, number of odd perimeters).  Then
 
     N_{g,n}(p) = sum_k C_k prod_j B_j[k_j],
     B_j[m] = prod_{i<m} (p_j^2 - (2i + r_j)^2).
@@ -81,6 +82,7 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import comb, gcd, lcm, prod
 from operator import getitem, mul
@@ -91,16 +93,7 @@ from .surface import _check_int, check_stable, enumerate_splittings, perimeter_v
 
 _ZERO = Fraction(0)
 
-_memo: dict[tuple, Fraction] = {}
-# (g, n, spectators) -> moments of q -> q N_{g,n}(q, spectators)
-_columns: dict[tuple, list] = {}
-# (g, n, rest) -> moments of s -> D(s)
-_diagonals: dict[tuple, list] = {}
-# (g, len(rest)) -> the swap classes of splittings of g over the positions of rest
-_splittings: dict[tuple, tuple] = {}
-# (g, n, number of odd perimeters) -> (grid, Newton numerators, denominator)
-_classes: dict[tuple, tuple] = {}
-# the tables grow by check-then-append: one recursion runs at a time
+# the moment tables grow by check-then-append: one recursion runs at a time
 _lock = threading.RLock()  # reentrant: ``census`` calls ``count`` under it
 
 
@@ -153,14 +146,6 @@ def _fsum(terms) -> tuple[int, int]:
     return num, den
 
 
-def _clear() -> None:
-    """Empty the memo, the moment tables, the splittings and the class
-    polynomials."""
-    with _lock:
-        for table in (_memo, _columns, _diagonals, _splittings, _classes):
-            table.clear()
-
-
 def _perimeters(g: int, n: int, p: Sequence[int]) -> tuple:
     check_stable(g, n)
     if len(p) != n:
@@ -176,7 +161,7 @@ def count(g: int, n: int, p: Sequence[int]) -> Fraction:
     p = _perimeters(g, n, p)
     with _lock:
         if _by_class(g, n, sum(p)):
-            return _class_count(g, n, p, {})
+            return _class_count(g, n, p)
         return _N(g, n, tuple(sorted(p, reverse=True)))
 
 
@@ -204,23 +189,27 @@ def _grid_bound(g: int, n: int) -> int:
     return 2 * (3 * g - 3 + n) + 2 * n  # R = 2d + 2n, the largest sum on a class grid
 
 
-def _class_count(g: int, n: int, p: Sequence[int], bases: dict) -> Fraction:
+def _class_count(g: int, n: int, p: Sequence[int]) -> Fraction:
     """N_{g,n}(p) for an even sum(p), off p's parity-class polynomial in the
-    p_j^2 (Newton basis); ``bases`` keeps each perimeter's row B[0..d]."""
+    p_j^2 (Newton basis)."""
     odd = [x for x in p if x % 2]
     p = odd + [x for x in p if not x % 2]
-    grid, nums, den = _classes.get((g, n, len(odd))) or _class_table(g, n, len(odd))
+    grid, nums, den = _class_table(g, n, len(odd))
     d = 3 * g - 3 + n
-    for pj in p:
-        if pj not in bases:
-            u, r, b = pj * pj, 2 - pj % 2, [1]
-            for i in range(d):
-                b.append(b[-1] * (u - (2 * i + r) ** 2))
-            bases[pj] = b
-    rows = [bases[pj] for pj in p]
+    rows = [_base_row(pj, d) for pj in p]
     return Fraction(sum(c * prod(map(getitem, rows, k)) for k, c in zip(grid, nums)), den)
 
 
+@cache
+def _base_row(p: int, d: int) -> tuple[int, ...]:
+    """B[0..d] for the perimeter p: B[m] = prod_{i<m} (p^2 - (2i + r)^2)."""
+    u, r, b = p * p, 2 - p % 2, [1]
+    for i in range(d):
+        b.append(b[-1] * (u - (2 * i + r) ** 2))
+    return tuple(b)
+
+
+@cache
 def _class_table(g: int, n: int, odd: int) -> tuple:
     """Interpolate N_{g,n} on the class of vectors whose first ``odd``
     entries are odd, p = 2k + r with r_j = 1 there and 2 after, from its
@@ -251,8 +240,7 @@ def _class_table(g: int, n: int, odd: int) -> tuple:
         c = [v // common for v in c]
         den = den * scale // common
     kept = [i for i, v in enumerate(c) if v]
-    _classes[(g, n, odd)] = table = ([grid[i] for i in kept], [c[i] for i in kept], den)
-    return table
+    return [grid[i] for i in kept], [c[i] for i in kept], den
 
 
 def _N(g: int, n: int, p: tuple) -> Fraction:
@@ -265,47 +253,42 @@ def _N(g: int, n: int, p: tuple) -> Fraction:
         return Fraction(1)
     if (g, n) == (1, 1):
         return Fraction(p[0] ** 2 - 4, 48)
-    key = (g, n, p)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    num, den = _rhs(g, n, p[0], p[1:])
-    _memo[key] = value = Fraction(num, den * p[0])
-    return value
+    return _recursion(g, n, p)
 
 
 def _descending(extra: tuple, spectators: tuple) -> tuple:
     return tuple(sorted(extra + spectators, reverse=True))
 
 
+@cache
 def _column(g: int, n: int, spectators: tuple) -> list:
     """Moments of q -> q N_{g,n}(q, spectators), spectators descending."""
-    key = (g, n, spectators)
-    table = _columns.get(key)
-    if table is None:
-        parity = sum(spectators) % 2
+    parity = sum(spectators) % 2
 
-        def term(q: int) -> tuple[int, int]:
-            if q == 0 or q % 2 != parity:
-                return 0, 1
-            v = _N(g, n, _descending((q,), spectators))
-            return q * v.numerator, v.denominator
+    def term(q: int) -> tuple[int, int]:
+        if q == 0 or q % 2 != parity:
+            return 0, 1
+        v = _N(g, n, _descending((q,), spectators))
+        return q * v.numerator, v.denominator
 
-        table = _columns[key] = _moments(term)
-    return table
+    return _moments(term)
 
 
-def _double_sum(g: int, n: int, rest: tuple, splittings) -> list:
+@cache
+def _splittings(g: int, m: int) -> tuple:
+    """The swap classes of the splittings of g over the positions 0 .. m-1
+    of the spectators; enumerated through this module's binding."""
+    return swap_classes(enumerate_splittings(g, range(m)))
+
+
+@cache
+def _double_sum(g: int, n: int, rest: tuple) -> list:
     """Moments of the diagonal sums s -> D(s) for (g, n, rest), rest
-    descending; ``splittings`` are swap classes on positions of rest."""
-    key = (g, n, rest)
-    table = _diagonals.get(key)
-    if table is not None:
-        return table
+    descending."""
     parity = sum(rest) % 2
     # (left column, right column, least q_1 with an even left total, orderings)
     pairs = []
-    for sp, orderings in splittings:
+    for sp, orderings in _splittings(g, len(rest)):
         left = tuple(rest[i] for i in sp.part1)
         right = tuple(rest[i] for i in sp.part2)
         pairs.append((_column(sp.g1, len(left) + 1, left), _column(sp.g2, len(right) + 1, right),
@@ -335,28 +318,37 @@ def _double_sum(g: int, n: int, rest: tuple, splittings) -> list:
             return 0, 1
         return _fsum(products(s))
 
-    table = _diagonals[key] = _moments(term)
-    return table
+    return _moments(term)
 
 
-def _rhs(g: int, n: int, p1: int, rest: tuple) -> tuple[int, int]:
-    """Right-hand side of the recursion, p1 N_{g,n}(p), as (numerator,
-    denominator); ``p1`` is the largest perimeter and ``rest`` the others,
-    sorted descending, so p1 - pj >= 0 and the negatively signed j-term
-    never occurs."""
-    shape = (g, len(rest))
-    splittings = _splittings.get(shape)
-    if splittings is None:
-        splittings = _splittings[shape] = swap_classes(enumerate_splittings(g, range(len(rest))))
+@cache
+def _recursion(g: int, n: int, p: tuple) -> Fraction:
+    """N_{g,n}(p) off the right-hand side p1 N_{g,n}(p) of the recursion:
+    p1 = p[0] is the largest perimeter and rest = p[1:] the others, sorted
+    descending, so p1 - pj >= 0 and the negatively signed j-term never
+    occurs."""
+    p1, rest = p[0], p[1:]
     terms = []
     for idx, pj in enumerate(rest):
         column = _column(g, n - 1, rest[:idx] + rest[idx + 1 :])
         terms.append(_weighted(column, p1 + pj))
         terms.append(_weighted(column, p1 - pj))
-    if g >= 1 or splittings:
-        terms.append(_weighted(_double_sum(g, n, rest, splittings), p1))
+    if g >= 1 or _splittings(g, len(rest)):
+        terms.append(_weighted(_double_sum(g, n, rest), p1))
     num, den = _fsum(terms)
-    return num, 2 * den
+    return Fraction(num, 2 * den * p1)
+
+
+# the original builders, so that emptying them ignores a name patched over
+_BUILDERS = (_recursion, _column, _splittings, _double_sum, _class_table, _base_row)
+
+
+def _clear() -> None:
+    """Empty every cached table: counts, moments, splittings, class
+    polynomials and base rows."""
+    with _lock:
+        for builder in _BUILDERS:
+            builder.cache_clear()
 
 
 def oracle_n11(p: int) -> Fraction:
@@ -418,7 +410,7 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
     """Tabulate N_{g,n} over every perimeter vector with sum <= max_sum, in
     one pass under one lock: an odd total is 0, an even one up to R = 2d + 2n
     comes from ``count`` (the recursion there) and one past R off its class
-    polynomial, each perimeter's base row kept for the whole table.  Values
+    polynomial, each perimeter's base row B_j cached.  Values
     are kept as ``"num/den"`` text; a table read from its cache calls no ``count``.
 
     When ``cache_dir`` (or the RIBBONVOL_CACHE_DIR environment variable)
@@ -445,13 +437,13 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
         table = _load_cache(path, g, n, max_sum)
         if table is not None:
             return table
-    big, bases, text = _grid_bound(g, n), {}, []
+    big, text = _grid_bound(g, n), []
     with _lock:
         for p in perimeter_vectors(n, max_sum, ascending=True):
             if (total := sum(p)) % 2:
                 text.append((p, "0/1"))
                 continue
-            v = count(g, n, p) if total <= big else _class_count(g, n, p, bases)
+            v = count(g, n, p) if total <= big else _class_count(g, n, p)
             text.append((p, f"{v.numerator}/{v.denominator}"))
     table = CountTable(g, n, max_sum, text)
     if path:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonvol import __version__, clear_caches, lattice
+from ribbonvol import __version__, cache_info, clear_caches, lattice
 from ribbonvol.exactmath import laurent_to_series
 from ribbonvol.lattice import census, count, count_by_recursion, oracle_n11
 from ribbonvol.surface import enumerate_splittings, perimeter_vectors, stable_types
@@ -141,7 +141,7 @@ def test_class_polynomials_equal_the_recursion_past_their_grids(g, n):
     checked = 0
     for p in perimeter_vectors(n, bound + 12, ascending=True):
         if sum(p) > bound and sum(p) % 2 == 0:
-            assert lattice._class_count(g, n, p, {}) == count_by_recursion(g, n, p), p
+            assert lattice._class_count(g, n, p) == count_by_recursion(g, n, p), p
             checked += 1
     assert checked
 
@@ -175,6 +175,22 @@ def test_the_class_route_reads_its_grid(monkeypatch):
         monkeypatch.undo()
         clear_caches()
     assert count(3, 2, p) == honest
+
+
+def test_the_recursion_cache_holds_no_zero_total_and_no_base_case(monkeypatch):
+    # the sizes of the hand-kept memo these caches replaced, which skipped both
+    clear_caches()
+    count(2, 2, (22, 18))
+    assert cache_info()["lattice"] == 60
+    census(1, 4, 20)
+    assert cache_info()["lattice"] == 228
+    count_by_recursion(3, 2, (16, 12))
+    assert cache_info()["lattice"] == 1021
+    # emptied through the builders themselves, whatever the module names now hold
+    monkeypatch.setattr(lattice, "_N", None)
+    monkeypatch.setattr(lattice, "_class_table", None)
+    clear_caches()
+    assert cache_info()["lattice"] == 0
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,35 @@ MUTANTS = {
     "symplectic pair weight 1": (
         "eo.py", "pair_weight=Fraction(1, 2),", "pair_weight=Fraction(1),", {"eo": 4}
     ),
+    "N_{1,1} over 24": (
+        "lattice.py", "Fraction(p[0] ** 2 - 4, 48)", "Fraction(p[0] ** 2 - 4, 24)", {"series": 2}
+    ),
+    "lattice right-hand side without its 2": (
+        "lattice.py", "Fraction(num, 2 * den * p1)", "Fraction(num, den * p1)", {"series": 2}
+    ),
+    "lattice p_1 - p_j term dropped": (
+        "lattice.py", "        terms.append(_weighted(column, p1 - pj))\n", "", {"series": 2}
+    ),
+    # the engine mutants run with the orbit guard on, as ``verify`` ships
+    "SYMPLECTIC.base_03 x2": (
+        "transform.py", "Fraction(-1, 8)", "Fraction(-1, 4)", {"ratio": 13, "eo": 3, "symplectic": 1}
+    ),
+    "j-term weight (2a_j+1), not |2a_j+1|": (
+        "transform.py", "abs(2 * aj + 1)", "(2 * aj + 1)",
+        {"golden": 4, "leading": 12, "series": 2, "eo": 3},
+    ),
+    "genus term dropped": (
+        "transform.py",
+        "if g >= 1:\n        up = _table",
+        "if False:\n        up = _table",
+        {"golden": 3, "ratio": 6, "leading": 6, "series": 1, "eo": 6, "symplectic": 1},
+    ),
+    "splitting weight always 1": (
+        "transform.py",
+        "weight = 1 if (g1, k1) == (g2, k2) else 2",
+        "weight = 1",
+        {"golden": 1, "ratio": 8, "leading": 8},
+    ),
 }
 
 
