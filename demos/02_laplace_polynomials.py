@@ -8,7 +8,8 @@ computes these exactly by a recursion in 2g-2+n.
 
 from fractions import Fraction
 
-from ribbonvol import LAPLACE, compute, count, laurent_to_series
+from ribbonvol import LAPLACE, compute, count
+from ribbonvol.exactmath import laurent_to_series
 
 print("L_{1,1} as a Laurent polynomial in t^2 (exponent -> coefficient):")
 p11 = compute(LAPLACE, 1, 1)

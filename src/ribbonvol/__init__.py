@@ -22,7 +22,6 @@ _HOMES = {
     "residue_sum": "eo",
     "verify_eo": "eo",
     "EvenLaurentPoly": "exactmath",
-    "laurent_to_series": "exactmath",
     "CountTable": "lattice",
     "census": "lattice",
     "count": "lattice",
@@ -57,8 +56,8 @@ def clear_caches() -> None:
     lattice table."""
     from . import lattice, transform
 
-    for table in transform._tables.values():
-        table.clear()
+    for memo in (*transform._tables.values(), *transform._polys.values()):
+        memo.clear()
     lattice._clear()
 
 

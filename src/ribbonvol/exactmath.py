@@ -30,11 +30,12 @@ by a caller and is safe under concurrent readers.
 
 The expansion ``laurent_to_series`` substitutes t_j = (x_j + 1)/(x_j - 1)
 into ``p * prod_j (t_j^2 - 1)/2``.  The x^m coefficient of one factor
-``t^{2a} (t^2 - 1)/2`` is the finite binomial sum ``edge_coefficient(a, m)``,
-so that of ``x^m`` in the product is ``sum over terms c * u^a of c * prod_j
-edge_coefficient(a_j, m_j)``, with no series arithmetic.  ``_series_numerators``
-forms it in integers one slot at a time, sharing a partial product among the
-vectors with the same prefix.
+``t^{2a} (t^2 - 1)/2`` is the finite binomial sum ``edge_coefficient(a, m)``
+(a < 0 folds onto -1 - a by t -> 1/t), so that of ``x^m`` in the product is
+``sum over terms c * u^a of c * prod_j edge_coefficient(a_j, m_j)``, with no
+series arithmetic.  ``_series_numerators`` forms it in integers one slot at a
+time, sharing a partial product among the vectors with the same prefix;
+``laurent_to_series`` is its ``Fraction`` view, not in the package namespace.
 
 Coefficients are exact -- arbitrary-precision integers inside, reduced
 ``fractions.Fraction`` values at the API -- and are serialized as exact
@@ -355,23 +356,20 @@ class TruncatedSeries(NamedTuple):
 def edge_coefficient(a: int, m: int) -> int:
     """The x^m coefficient of ``t^{2a} (t^2 - 1)/2`` under t = (x+1)/(x-1).
 
-    For a >= 0 the series is 2x (1+x)^{2a} (1-x)^{-(2a+2)}; for a = -b < 0
-    it is 2x (x-1)^{2b-2} (1+x)^{-2b}.  Both start at x^1, so the
-    coefficient is 0 for m < 1, and otherwise a finite binomial sum:
+    For a >= 0 the series is 2x (1+x)^{2a} (1-x)^{-(2a+2)}.  It starts at
+    x^1, so the coefficient is 0 for m < 1, and otherwise the finite sum
 
-        a >= 0:      2 sum_i C(2a, i) C(2a + m - i, 2a + 1)
-        a = -b < 0:  2 (-1)^{m-1} sum_i C(2b - 2, i) C(2b + m - 2 - i, 2b - 1)
+        e(a, m) = 2 sum_i C(2a, i) C(2a + m - i, 2a + 1).
+
+    t -> 1/t is x -> -x and maps t^{2a} (t^2 - 1) to -t^{-2a-2} (t^2 - 1),
+    so a < 0 folds onto -1 - a >= 0: e(a, m) = (-1)^{m-1} e(-1 - a, m).
     """
     if m < 1:
         return 0
-    if a >= 0:
-        return 2 * sum(
-            comb(2 * a, i) * comb(2 * a + m - i, 2 * a + 1) for i in range(min(2 * a, m - 1) + 1)
-        )
-    b = -a
-    return 2 * (-1) ** (m - 1) * sum(
-        comb(2 * b - 2, i) * comb(2 * b + m - 2 - i, 2 * b - 1)
-        for i in range(min(2 * b - 2, m - 1) + 1)
+    if a < 0:
+        return (-1) ** (m - 1) * edge_coefficient(-1 - a, m)
+    return 2 * sum(
+        comb(2 * a, i) * comb(2 * a + m - i, 2 * a + 1) for i in range(min(2 * a, m - 1) + 1)
     )
 
 

@@ -98,7 +98,7 @@ def splitting_shapes(g: int, m: int, pairs: bool = False) -> list[tuple[int, int
 
 
 def swap_classes(splittings: Sequence[Splitting]) -> tuple[tuple[Splitting, int], ...]:
-    """Each splitting of a swap-closed list once per swap of its halves, as
-    (splitting, orderings) with (g1, part1) <= (g2, part2): ``orderings``
-    is 2, or 1 when the swap leaves the splitting unchanged."""
+    """Each splitting, or shape of ``splitting_shapes``, of a swap-closed list
+    once per swap of its halves, as (sp, orderings) with (g1, part1) <=
+    (g2, part2): ``orderings`` is 2, or 1 when the swap leaves sp unchanged."""
     return tuple((sp, 1 if sp[:2] == sp[2:] else 2) for sp in splittings if sp[:2] <= sp[2:])

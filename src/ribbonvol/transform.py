@@ -39,19 +39,20 @@ Every F_{g,n} is S_n-symmetric, so a table keeps one row per sorted tail
 rest = (a_2 <= .. <= a_n): integer numerators {a_1: numerator} over one
 denominator per table.  Each formula scatters the rows of the lower tables
 into these rows.  The splitting sum takes each pair of sorted tails once,
-times the number of ways to place them in rest's slots, and a shape of
-halves and its swap once, weighed by 2.  Slot 1 is singled out, so an
-orbit with k distinct entries is computed k times, once per distinct first
-entry; ``_check_orbits`` raises ``ArithmeticError`` unless the copies agree.
-``compute`` expands only the table asked for, once, into the full terms of
-an ``EvenLaurentPoly``: each row's a_1 followed by every distinct ordering
-of its tail.  ``kontsevich_ratio``, ``euclidean_matches_leading`` and
+times the number of ways to place them in rest's slots, and each shape of
+halves once per swap, weighed by ``surface.swap_classes``.  Slot 1 is
+singled out, so an orbit with k distinct entries is computed k times, once
+per distinct first entry; ``_check_orbits`` raises ``ArithmeticError``
+unless the copies agree.  ``compute`` expands only the table asked for,
+base tables included, into the full terms of an ``EvenLaurentPoly``: each
+row's a_1 followed by every distinct ordering of its tail.
+``kontsevich_ratio``, ``euclidean_matches_leading`` and
 ``intersection_numbers`` never expand: they read one coefficient per
 orbit, at its sorted exponent vector, straight from the rows.
 
 Tables are built top-down through one memo per entry of ``CONFIGS``, the
-closed set ``compute`` accepts; results are canonical (symmetric, exact)
-and safe to share.
+closed set ``compute`` accepts, and never updated once stored; expansions
+are memoized apart.  Results are canonical (symmetric, exact), safe to share.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from math import comb, gcd, lcm, prod
 from typing import NamedTuple
 
 from .exactmath import EvenLaurentPoly
-from .surface import check_stable, splitting_shapes
+from .surface import check_stable, splitting_shapes, swap_classes
 
 
 class RecursionConfig(NamedTuple):
@@ -123,18 +124,16 @@ SYMPLECTIC = RecursionConfig(
 CONFIGS = {c.name: c for c in (LAPLACE, EUCLIDEAN, SYMPLECTIC)}
 
 
-class _Table:
+class _Table(NamedTuple):
     """F_{g,n} by S_n orbits: ``rows[rest][a_1] / den`` is its coefficient of
-    u_1^{a_1} prod_j u_{j+1}^{rest_j}, for each sorted tail ``rest``;
-    ``poly`` is the expanded polynomial, once ``compute`` has asked for it."""
+    u_1^{a_1} prod_j u_{j+1}^{rest_j}, for each sorted tail ``rest``."""
 
-    __slots__ = ("den", "rows", "poly")
-
-    def __init__(self, den: int, rows: dict, poly: EvenLaurentPoly | None = None):
-        self.den, self.rows, self.poly = den, rows, poly
+    den: int
+    rows: dict
 
 
 _tables: dict[str, dict[tuple[int, int], _Table]] = {name: {} for name in CONFIGS}
+_polys: dict[str, dict[tuple[int, int], EvenLaurentPoly]] = {name: {} for name in CONFIGS}
 
 
 def compute(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
@@ -143,10 +142,10 @@ def compute(config: RecursionConfig, g: int, n: int) -> EvenLaurentPoly:
         name = getattr(config, "name", config)
         raise ValueError(f"config {name!r} is not LAPLACE, EUCLIDEAN or SYMPLECTIC")
     check_stable(g, n)
-    table = _table(config, g, n)
-    if table.poly is None:
-        table.poly = _expand(n, table)
-    return table.poly
+    polys = _polys[config.name]
+    if (g, n) not in polys:
+        polys[(g, n)] = _expand(n, _table(config, g, n))
+    return polys[(g, n)]
 
 
 def _table(config: RecursionConfig, g: int, n: int) -> _Table:
@@ -158,7 +157,7 @@ def _table(config: RecursionConfig, g: int, n: int) -> _Table:
             rows: dict[tuple, dict[int, int]] = {}
             for exps, c in base._num.items():
                 rows.setdefault(tuple(sorted(exps[1:])), {})[exps[0]] = c
-            table = _Table(base._den, rows, base)
+            table = _Table(base._den, rows)
         else:
             table = _recurse(config, g, n)
         tables[(g, n)] = table
@@ -244,13 +243,9 @@ def _bracket(config: RecursionConfig, g: int, n: int):
                 for b, v in row.items():
                     acc[b + c] = acc.get(b + c, 0) + v
         parts.append((Fraction(1, up.den), rows))
-    # a splitting and its swap add the same products, so each pair of
-    # shapes is summed once, weighed by 2 unless the halves have one shape
-    for g1, k1, g2, k2 in splitting_shapes(g, n - 1):
-        if (g1, k1) > (g2, k2):
-            continue
+    # a splitting and its swap add the same products: each swap class once
+    for (g1, k1, g2, k2), weight in swap_classes(splitting_shapes(g, n - 1)):
         left, right = _table(config, g1, k1 + 1), _table(config, g2, k2 + 1)
-        weight = 1 if (g1, k1) == (g2, k2) else 2
         rows = {}
         for tail1, row1 in left.rows.items():
             for tail2, row2 in right.rows.items():

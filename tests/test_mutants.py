@@ -2,7 +2,10 @@
 
 Each mutant is one exact text edit to a copy of ``src/``.  The default
 ``verify`` run on that copy must exit 1, and each suite named in the
-mutant's row must fail at least the recorded number of rows.  The counts
+mutant's row must fail at least the recorded number of rows.  The four
+mutants that change the engine's tables run a second time with the orbit
+guard ``transform._check_orbits`` switched off, which measures the suites'
+own comparisons, with a kill set of their own.  The counts
 are lower bounds: detection may grow, but it may not shrink unseen.  The
 old text must occur exactly once in its file, so a refactor that moves or
 rewrites it fails here, and the mutant is restated with it.
@@ -52,7 +55,7 @@ MUTANTS = {
     "lattice p_1 - p_j term dropped": (
         "lattice.py", "        terms.append(_weighted(column, p1 - pj))\n", "", {"series": 2}
     ),
-    # the engine mutants run with the orbit guard on, as ``verify`` ships
+    # the engine mutants, with the orbit guard on, as ``verify`` ships
     "SYMPLECTIC.base_03 x2": (
         "transform.py", "Fraction(-1, 8)", "Fraction(-1, 4)", {"ratio": 13, "eo": 3, "symplectic": 1}
     ),
@@ -67,11 +70,22 @@ MUTANTS = {
         {"golden": 3, "ratio": 6, "leading": 6, "series": 1, "eo": 6, "symplectic": 1},
     ),
     "splitting weight always 1": (
-        "transform.py",
-        "weight = 1 if (g1, k1) == (g2, k2) else 2",
-        "weight = 1",
+        "surface.py",
+        "(sp, 1 if sp[:2] == sp[2:] else 2)",
+        "(sp, 1)",
         {"golden": 1, "ratio": 8, "leading": 8},
     ),
+}
+
+# the orbit guard switched off: ``_check_orbits`` returns at once
+GUARD_OFF = ("transform.py", "    if n == 1:\n        return\n    copies = 0", "    return\n    copies = 0")
+
+# engine mutant -> {suite: least failing rows} with the guard off
+GUARD_OFF_KILLS = {
+    "SYMPLECTIC.base_03 x2": {"ratio": 12, "eo": 1},
+    "j-term weight (2a_j+1), not |2a_j+1|": {"golden": 4, "series": 2, "eo": 2},
+    "genus term dropped": {"golden": 3, "series": 1, "eo": 6, "symplectic": 1},
+    "splitting weight always 1": {"golden": 1},
 }
 
 
@@ -87,9 +101,15 @@ def _verify(src: Path) -> tuple[int, Counter, int]:
     return proc.returncode, Counter(row["suite"] for row in rows if not row["ok"]), len(rows)
 
 
-def _copy(tmp_path: Path) -> Path:
+def _copy(tmp_path: Path, *edits: tuple[str, str, str]) -> Path:
+    """A copy of ``src/`` with each (file, old text, new text) edit applied."""
     copy = tmp_path / "src"
     shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    for file, old, new in edits:
+        path = copy / "ribbonvol" / file
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1, f"{file}: {old!r} must occur exactly once"
+        path.write_text(text.replace(old, new), encoding="utf-8")
     return copy
 
 
@@ -98,15 +118,26 @@ def test_the_unmutated_copy_passes(tmp_path):
     assert (code, failed, rows) == (0, Counter(), 55)
 
 
+def test_the_unmutated_copy_passes_with_the_guard_off(tmp_path):
+    code, failed, rows = _verify(_copy(tmp_path, GUARD_OFF))
+    assert (code, failed, rows) == (0, Counter(), 55)
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_fails_verify(name, tmp_path):
     file, old, new, kills = MUTANTS[name]
-    copy = _copy(tmp_path)
-    path = copy / "ribbonvol" / file
-    text = path.read_text(encoding="utf-8")
-    assert text.count(old) == 1, f"{file}: the old text of {name!r} must occur exactly once"
-    path.write_text(text.replace(old, new), encoding="utf-8")
-    code, failed, rows = _verify(copy)
+    code, failed, rows = _verify(_copy(tmp_path, (file, old, new)))
+    assert code == 1, name
+    assert rows == 55, name
+    for suite, least in kills.items():
+        assert failed[suite] >= least, (name, suite, dict(failed))
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_OFF_KILLS))
+def test_engine_mutant_fails_verify_with_the_guard_off(name, tmp_path):
+    file, old, new, _ = MUTANTS[name]
+    kills = GUARD_OFF_KILLS[name]
+    code, failed, rows = _verify(_copy(tmp_path, (file, old, new), GUARD_OFF))
     assert code == 1, name
     assert rows == 55, name
     for suite, least in kills.items():

@@ -45,6 +45,17 @@ def test_base_cases_verbatim():
     assert compute(EUCLIDEAN, 1, 1).terms == {(1,): F(-1, 128)}
 
 
+@pytest.mark.parametrize("config", [LAPLACE, EUCLIDEAN, SYMPLECTIC], ids=lambda c: c.name)
+def test_base_tables_expand_to_their_seeds(config):
+    # a base table is stored as rows, like any other, and expanded on request
+    for _ in range(2):  # cold, then after emptying the caches
+        clear_caches()
+        polys = compute(config, 0, 3), compute(config, 1, 1)
+        assert polys == (config.base_03, config.base_11)
+        assert compute(config, 0, 3) is polys[0] and compute(config, 1, 1) is polys[1]
+    clear_caches()
+
+
 def test_matches_golden_closed_forms():
     for (g, n), expected in sorted(golden_laplace().items()):
         assert compute(LAPLACE, g, n) == expected, (g, n)
