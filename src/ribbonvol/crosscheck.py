@@ -57,10 +57,10 @@ def series_identity(g: int, n: int, max_sum: int) -> int:
     A bound below n admits no lattice point and is rejected with
     ``ValueError`` rather than passed vacuously.  Each p is compared in
     integers, with the numerators of ``_series_numerators``; N and prod p_j
-    are symmetric, so the recursion is asked once per sorted p."""
-    # the recursion alone, so that L_{g,n} is checked against an independent
-    # route; imported here, since no other check needs the lattice layer
-    from .lattice import count_by_recursion
+    are symmetric, so ``count`` is asked once per sorted p, and the check
+    covers both of its routes: the recursion and the class polynomials."""
+    # imported here, since no other check needs the lattice layer
+    from .lattice import count
 
     _check_int("max_sum", max_sum, n)
     poly = compute(LAPLACE, g, n)
@@ -69,8 +69,8 @@ def series_identity(g: int, n: int, max_sum: int) -> int:
     checked = 0
     for p in perimeter_vectors(n, max_sum):
         if (key := tuple(sorted(p))) not in orbits:
-            count = count_by_recursion(g, n, key)
-            orbits[key] = count.denominator, sign * prod(key) * count.numerator * den
+            value = count(g, n, key)
+            orbits[key] = value.denominator, sign * prod(key) * value.numerator * den
         scale, expected = orbits[key]
         if (got := numerators.get(p, 0)) * scale != expected:
             raise ArithmeticError(f"({g},{n}): coefficient of x^{p} is {Fraction(got, den)}, "

@@ -71,10 +71,10 @@ denominator, cached per (g, n, number of odd perimeters).  Then
     B_j[m] = prod_{i<m} (p_j^2 - (2i + r_j)^2).
 
 ``count`` takes this route for an even sum past R and from nR/2 on
-(``_by_class``), and the recursion otherwise; ``count_by_recursion`` is
-the recursion alone.  A ``census`` holds every grid, so it takes the route
-for every even sum past R and asks ``count`` for those up to R, keeping
-each value as the ``"num/den"`` text of its cache file.
+(``_by_class``), and the recursion otherwise.  A ``census`` holds every
+grid, so it takes the route for every even sum past R and asks ``count``
+for those up to R, keeping each value as the ``"num/den"`` text of its
+cache file.
 """
 
 from __future__ import annotations
@@ -146,31 +146,18 @@ def _fsum(terms) -> tuple[int, int]:
     return num, den
 
 
-def _perimeters(g: int, n: int, p: Sequence[int]) -> tuple:
+def count(g: int, n: int, p: Sequence[int]) -> Fraction:
+    """N_{g,n}(p) for a stable (g, n) and positive integer perimeters: off
+    the class polynomial of p when ``_by_class`` says so, else by recursion."""
     check_stable(g, n)
     if len(p) != n:
         raise ValueError(f"expected {n} perimeters, got {len(p)}")
     for x in p:
         _check_int("perimeter", x, 1)
-    return tuple(p)
-
-
-def count(g: int, n: int, p: Sequence[int]) -> Fraction:
-    """N_{g,n}(p) for a stable (g, n) and positive integer perimeters: off
-    the class polynomial of p when ``_by_class`` says so, else by recursion."""
-    p = _perimeters(g, n, p)
     with _lock:
         if _by_class(g, n, sum(p)):
             return _class_count(g, n, p)
         return _N(g, n, tuple(sorted(p, reverse=True)))
-
-
-def count_by_recursion(g: int, n: int, p: Sequence[int]) -> Fraction:
-    """N_{g,n}(p) by the edge-removal recursion alone: the oracle that the
-    class polynomials are interpolated from and checked against."""
-    key = tuple(sorted(_perimeters(g, n, p), reverse=True))
-    with _lock:
-        return _N(g, n, key)
 
 
 def _by_class(g: int, n: int, total: int) -> bool:

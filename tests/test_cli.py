@@ -111,6 +111,18 @@ def test_count_census_unusable_cache_dir_fails_first(capsys, monkeypatch, tmp_pa
     assert "error: census cache: " in capsys.readouterr().err
 
 
+def test_count_census_cache_write_failure_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    def failed_move(src, dst):
+        raise OSError("the move into place failed")
+
+    monkeypatch.setattr(os, "replace", failed_move)
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--gn", "0,3", "--max-sum", "6", "--cache-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert "error: census cache: the move into place failed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_count_census_text_deterministic(capsys):
     _, first = run(capsys, "count", "--gn", "0,4", "--max-sum", "7")
     _, second = run(capsys, "count", "--gn", "0,4", "--max-sum", "7")
@@ -278,19 +290,18 @@ def test_verify_fast_suites(capsys):
     assert code == 0
 
 
-def test_the_series_suite_checks_against_the_recursion(capsys, monkeypatch):
-    # with the class route broken the suite stays green, so it compares
-    # L_{g,n} with the recursion; at the default level (1, 2) reaches past
-    # its grid, where ``count`` itself would take the class route
+def test_the_series_suite_checks_the_class_route(capsys, monkeypatch):
+    # the suite compares L_{g,n} with the counts ``count`` serves, so with the
+    # class route broken every type that takes it at the default level fails;
+    # (0, 4) takes it only from sum 20 on, and still passes
     monkeypatch.setattr(lattice, "_class_count", _broken)
     clear_caches()
     code, out = run(capsys, "verify", "--suite", "series", "--format", "jsonl")
-    assert code == 0
+    assert code == 1
     docs = [json.loads(line) for line in out.splitlines()]
-    assert [doc["case"] for doc in docs] == ["series(0,3)", "series(1,1)", "series(0,4)", "series(1,2)"]
-    assert all(doc["ok"] for doc in docs)
-    with pytest.raises(ArithmeticError, match="injected"):
-        lattice.count(1, 2, (6, 6))
+    assert [(doc["case"], doc["ok"]) for doc in docs] == [
+        ("series(0,3)", False), ("series(1,1)", False), ("series(0,4)", True), ("series(1,2)", False)]
+    assert all(doc["detail"] == "injected arithmetic failure" for doc in docs if not doc["ok"])
 
 
 @pytest.mark.parametrize(
@@ -511,8 +522,7 @@ def _invoke(capsys, argv):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_seeded_command_line_fuzz(capsys, monkeypatch, tmp_path, seed):
-    monkeypatch.delenv("RIBBONVOL_CACHE_DIR", raising=False)
+def test_seeded_command_line_fuzz(capsys, tmp_path, seed):
     a_file = tmp_path / "plain-file"
     a_file.write_text("not a directory\n")
     cache_dirs = [str(tmp_path / "cache"), str(a_file), str(a_file / "sub"), "",

@@ -95,28 +95,28 @@ def test_series_identity_fails_on_a_changed_coefficient(monkeypatch, delta, mess
     ],
 )
 def test_series_identity_fails_on_a_changed_count(monkeypatch, orbit, message):
-    # one orbit's count is off by one: the check asks the recursion once per
+    # one orbit's count is off by one: the check asks ``count`` once per
     # sorted p, and that one answer must still be compared
-    real = lattice.count_by_recursion
+    real = lattice.count
 
     def changed(g, n, p):
         return real(g, n, p) + (tuple(sorted(p)) == orbit)
 
-    monkeypatch.setattr(lattice, "count_by_recursion", changed)
+    monkeypatch.setattr(lattice, "count", changed)
     with pytest.raises(ArithmeticError) as info:
         series_identity(0, 4, 10)
     assert str(info.value) == message
 
 
-def test_series_identity_asks_the_recursion_once_per_orbit(monkeypatch):
+def test_series_identity_asks_count_once_per_orbit(monkeypatch):
     asked = []
-    real = lattice.count_by_recursion
+    real = lattice.count
 
     def recording(g, n, p):
         asked.append(p)
         return real(g, n, p)
 
-    monkeypatch.setattr(lattice, "count_by_recursion", recording)
+    monkeypatch.setattr(lattice, "count", recording)
     assert series_identity(0, 4, 12) == 495  # C(12, 4): every p is compared
     assert sorted(asked) == list(perimeter_vectors(4, 12, ascending=True))
 
@@ -140,6 +140,15 @@ def test_perimeter_volume_smallest():
 def test_forward_laplace_round_trip():
     for g, n in [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1), (1, 3), (3, 1)]:
         assert forward_laplace(perimeter_volume(g, n)) == compute(SYMPLECTIC, g, n)
+
+
+def test_the_perimeter_maps_refuse_negative_exponents(monkeypatch):
+    # v^S and its inverse map are defined on polynomials only
+    with pytest.raises(ValueError, match="not a polynomial"):
+        forward_laplace(EvenLaurentPoly(1, {(1,): 1, (-1,): 1}))
+    monkeypatch.setattr(crosscheck, "compute", lambda config, g, n: EvenLaurentPoly(n, {(-1,) * n: 1}))
+    with pytest.raises(ArithmeticError, match=r"^\(0,3\): negative exponent \(-1, -1, -1\) in V\^S$"):
+        perimeter_volume(0, 3)
 
 
 def test_continuous_recursion_hand_value():

@@ -234,6 +234,9 @@ def test_evaluate_squares_its_input():
     assert q.evaluate((2, 3)) == F(4, 9)
     with pytest.raises(ZeroDivisionError):
         q.evaluate((2, 0))
+    for point in [(2,), (2, 3, 4)]:
+        with pytest.raises(ValueError, match="point length"):
+            q.evaluate(point)
 
 
 def test_partial_evaluate_keeps_slot_order():
@@ -259,6 +262,9 @@ def test_latex():
         == r"\frac{5}{128}t_{2}^{4} + \frac{3}{128}t_{1}^{2}t_{2}^{2} + \frac{5}{128}t_{1}^{4}"
     )
     assert EvenLaurentPoly.zero(1).to_latex() == "0"
+    # a unit coefficient prints as its sign alone, except on the constant
+    assert EvenLaurentPoly(2, {(1, 0): 1, (0, 1): -1}).to_latex() == "- t_{2}^{2} + t_{1}^{2}"
+    assert EvenLaurentPoly(2, {(0, 0): 1, (0, -1): -1}).to_latex() == "1 - t_{2}^{-2}"
 
 
 # divided differences --------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from ribbonvol import __version__, cache_info, clear_caches, lattice
 from ribbonvol.exactmath import laurent_to_series
-from ribbonvol.lattice import census, count, count_by_recursion, oracle_n11
+from ribbonvol.lattice import census, count, oracle_n11
 from ribbonvol.surface import enumerate_splittings, perimeter_vectors, stable_types
 from ribbonvol.transform import LAPLACE, compute
 
@@ -82,6 +82,13 @@ def _direct_rhs(g, n, p1, rest):
     return total / 2
 
 
+def _by_recursion(g, n, p):
+    # the package's recursion alone, whatever route ``count`` would take: the
+    # oracle the class polynomials are interpolated from and checked against
+    with lattice._lock:
+        return lattice._N(g, n, tuple(sorted(p, reverse=True)))
+
+
 @pytest.mark.parametrize(
     "g,n", [(0, 3), (1, 1), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1), (2, 2), (3, 1), (1, 4), (0, 6)]
 )
@@ -102,15 +109,15 @@ def test_moment_tables_answer_the_same_in_either_order():
     cold = count(2, 2, (6, 4))
     assert cold == _direct_count(2, 2, (6, 4))
     clear_caches()
-    count_by_recursion(2, 2, (20, 20))
+    _by_recursion(2, 2, (20, 20))
     assert count(2, 2, (6, 4)) == cold
     # the same after every (3, 2) table has been grown, and rescaled, well past
     # what (16, 12) reads
     clear_caches()
-    cold = count_by_recursion(3, 2, (16, 12))
+    cold = _by_recursion(3, 2, (16, 12))
     clear_caches()
-    count_by_recursion(3, 2, (28, 24))
-    assert count_by_recursion(3, 2, (16, 12)) == cold
+    _by_recursion(3, 2, (28, 24))
+    assert _by_recursion(3, 2, (16, 12)) == cold
 
 
 def test_deep_values_at_rescaled_tables():
@@ -123,7 +130,7 @@ def test_deep_values_at_rescaled_tables():
         (2, 3, (12, 10, 10), 28023716),
         (3, 1, (28,), F(2112453915, 14)),
     ]:
-        assert count_by_recursion(g, n, p) == count(g, n, p) == value
+        assert _by_recursion(g, n, p) == count(g, n, p) == value
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +148,7 @@ def test_class_polynomials_equal_the_recursion_past_their_grids(g, n):
     checked = 0
     for p in perimeter_vectors(n, bound + 12, ascending=True):
         if sum(p) > bound and sum(p) % 2 == 0:
-            assert lattice._class_count(g, n, p) == count_by_recursion(g, n, p), p
+            assert lattice._class_count(g, n, p) == _by_recursion(g, n, p), p
             checked += 1
     assert checked
 
@@ -184,7 +191,7 @@ def test_the_recursion_cache_holds_no_zero_total_and_no_base_case(monkeypatch):
     assert cache_info()["lattice"] == 60
     census(1, 4, 20)
     assert cache_info()["lattice"] == 228
-    count_by_recursion(3, 2, (16, 12))
+    _by_recursion(3, 2, (16, 12))
     assert cache_info()["lattice"] == 1021
     # emptied through the builders themselves, whatever the module names now hold
     monkeypatch.setattr(lattice, "_N", None)
@@ -355,7 +362,7 @@ def test_census_past_its_grids_equals_the_recursion(g, n):
     bound = lattice._grid_bound(g, n) + 8
     clear_caches()
     table = census(g, n, bound)
-    expected = {p: count_by_recursion(g, n, p) for p in perimeter_vectors(n, bound, ascending=True)}
+    expected = {p: _by_recursion(g, n, p) for p in perimeter_vectors(n, bound, ascending=True)}
     assert table.entries == expected and list(table.entries) == list(expected)
     # each row is the reduced text of its count, in vector order
     assert table.text == [(p, f"{v.numerator}/{v.denominator}") for p, v in expected.items()]
@@ -407,7 +414,7 @@ def test_census_cache_round_trip(tmp_path, monkeypatch):
 def test_census_cache_written_from_fractions_loads_as_a_hit(tmp_path, monkeypatch):
     # the compact document as written when every row was formatted from its
     # Fraction, here the recursion's, sorted by vector
-    values = {p: count_by_recursion(0, 4, p) for p in perimeter_vectors(4, 14, ascending=True)}
+    values = {p: _by_recursion(0, 4, p) for p in perimeter_vectors(4, 14, ascending=True)}
     doc = {
         "format": "ribbonvol-census", "version": __version__, "g": 0, "n": 4, "max_sum": 14,
         "entries": [[list(p), f"{v.numerator}/{v.denominator}"] for p, v in sorted(values.items())],
@@ -524,6 +531,17 @@ def test_census_cache_dir_that_cannot_be_named_fails_before_counting(monkeypatch
         census(0, 4, 12, cache_dir="bad\0path")
 
 
+def _failed_move(src, dst):
+    raise OSError("the move into place failed")
+
+
+def test_census_cache_write_that_cannot_be_moved_leaves_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "replace", _failed_move)
+    with pytest.raises(OSError, match="the move into place failed"):
+        census(0, 3, 6, cache_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
 def _run_threads(target, workers):
     errors = []
 
@@ -561,7 +579,6 @@ def test_concurrent_counts_agree():
 
 
 def test_concurrent_census_writers_share_no_file(tmp_path, monkeypatch):
-    monkeypatch.delenv("RIBBONVOL_CACHE_DIR", raising=False)
     expected = census(1, 2, 16).entries
     target = tmp_path / "census-g1-n2-P16.json"
     # the memo is warm, so the writers reach the file together

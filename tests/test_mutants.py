@@ -55,6 +55,16 @@ MUTANTS = {
     "lattice p_1 - p_j term dropped": (
         "lattice.py", "        terms.append(_weighted(column, p1 - pj))\n", "", {"series": 2}
     ),
+    # the class route, which ``count`` takes past a type's grid
+    "class base rows shifted": (
+        "lattice.py",
+        "        b.append(b[-1] * (u - (2 * i + r) ** 2))",
+        "        b.append(b[-1] * (u - (2 * i + r + 2) ** 2))",
+        {"series": 2},
+    ),
+    "class table skips first differences": (
+        "lattice.py", "for level in range(1, len(line)):", "for level in range(2, len(line)):", {"series": 2}
+    ),
     # the engine mutants, with the orbit guard on, as ``verify`` ships
     "SYMPLECTIC.base_03 x2": (
         "transform.py", "Fraction(-1, 8)", "Fraction(-1, 4)", {"ratio": 13, "eo": 3, "symplectic": 1}

@@ -354,6 +354,19 @@ def test_a_corrupted_lower_table_fails_the_orbit_guard(lower, upper):
     assert len(stored) > 1
 
 
+def test_an_orbit_without_a_row_fails_the_orbit_guard():
+    # a copy of L(0,4)'s rows less one entry that is not its orbit's
+    # representative (a_1 > rest[0]): every remaining copy agrees, one is missing
+    clear_caches()
+    compute(LAPLACE, 0, 4)
+    rows = {rest: dict(row) for rest, row in transform._tables["laplace"][(0, 4)].rows.items()}
+    transform._check_orbits(0, 4, rows)
+    rest, a1 = next((rest, a1) for rest, row in rows.items() for a1 in row if a1 > rest[0])
+    del rows[rest][a1]
+    with pytest.raises(ArithmeticError, match=r"^\(0,4\): an orbit lacks a row$"):
+        transform._check_orbits(0, 4, rows)
+
+
 def _add_one_to_a_lower_table():
     # one stored numerator of V^S_{1,2}, one more than it should be: V^S_{1,3},
     # built from it, fails the orbit guard
