@@ -126,9 +126,10 @@ def _cmd_count(args, parser) -> int:
     if args.format == "csv":
         sys.stdout.write(table.csv_text())
     elif args.format == "json":
-        print(_json_text(table.to_json_dict()))
+        # each row as json.dumps(indent=2) writes an item of "entries"
+        print(table._fill("[\n      [\n        ", ",\n        ", '\n      ],\n      "%s"\n    ]', ",\n    ", _json_text))
     else:
-        sys.stdout.write("".join(f"{' '.join(map(str, p))}\t{text}\n" for p, text in table.text))
+        sys.stdout.write(table._fill("", " ", "\t%s\n"))
     return 0
 
 

@@ -72,9 +72,11 @@ denominator, cached per (g, n, number of odd perimeters).  Then
 
 ``count`` takes this route for an even sum past R and from nR/2 on
 (``_by_class``), and the recursion otherwise.  A ``census`` holds every
-grid, so it takes the route for every even sum past R and asks ``count``
-for those up to R, keeping each value as the ``"num/den"`` text of its
-cache file.
+grid, so it takes the route for every even sum past R, evaluating each
+class polynomial once over all of the class's vectors, and asks ``count``
+for those up to R.  It keeps each value as the ``"num/den"`` text of its
+cache file, and every census text, cache file included, is filled from
+one row template.
 """
 
 from __future__ import annotations
@@ -82,16 +84,17 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
-from functools import cache
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, repeat
 from math import comb, gcd, lcm, prod
-from operator import getitem, mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 from ._version import __version__
 from .surface import _check_int, check_stable, enumerate_splittings, perimeter_vectors, swap_classes
 
 _ZERO = Fraction(0)
+_odd = (1).__and__  # x -> x & 1, the parity of a perimeter
 
 # the moment tables grow by check-then-append: one recursion runs at a time
 _lock = threading.RLock()  # reentrant: ``census`` calls ``count`` under it
@@ -156,7 +159,8 @@ def count(g: int, n: int, p: Sequence[int]) -> Fraction:
         _check_int("perimeter", x, 1)
     with _lock:
         if _by_class(g, n, sum(p)):
-            return _class_count(g, n, p)
+            (num,), den = _class_values(g, n, [p])
+            return Fraction(num, den)
         return _N(g, n, tuple(sorted(p, reverse=True)))
 
 
@@ -176,15 +180,24 @@ def _grid_bound(g: int, n: int) -> int:
     return 2 * (3 * g - 3 + n) + 2 * n  # R = 2d + 2n, the largest sum on a class grid
 
 
-def _class_count(g: int, n: int, p: Sequence[int]) -> Fraction:
-    """N_{g,n}(p) for an even sum(p), off p's parity-class polynomial in the
-    p_j^2 (Newton basis)."""
-    odd = [x for x in p if x % 2]
-    p = odd + [x for x in p if not x % 2]
-    grid, nums, den = _class_table(g, n, len(odd))
+def _class_values(g: int, n: int, vectors: list) -> tuple[list[int], int]:
+    """N_{g,n} at each of ``vectors``, even sums with one number of odd
+    entries, off their parity-class polynomial in the p_j^2 (Newton basis):
+    numerators over the table's denominator.  Slot j's base rows stand as
+    columns B_j[m] over all the vectors, so each term C_k is one pass."""
+    grid, nums, den = _class_table(g, n, sum(map(_odd, vectors[0])))
     d = 3 * g - 3 + n
-    rows = [_base_row(pj, d) for pj in p]
-    return Fraction(sum(c * prod(map(getitem, rows, k)) for k, c in zip(grid, nums)), den)
+    # each vector's odd entries first, as in its class table
+    slots = zip(*(sorted(p, key=_odd, reverse=True) for p in vectors))
+    columns = [list(zip(*map(_base_row, slot, repeat(d)))) for slot in slots]
+    total = [0] * len(vectors)
+    for k, c in zip(grid, nums):
+        term = repeat(c)
+        for column, m in zip(columns, k):
+            if m:  # B_j[0] = 1
+                term = map(mul, term, column[m])
+        total = list(map(add, total, term))
+    return total, den
 
 
 @cache
@@ -359,8 +372,9 @@ def oracle_n11(p: int) -> Fraction:
 class CountTable:
     """All counts for one (g, n) with total perimeter up to ``max_sum``:
     ``text`` holds one ``(vector, "num/den")`` pair per nondecreasing
-    perimeter vector, in vector order, the reduced text that CSV and JSON
-    print as is."""
+    perimeter vector, in vector order, the reduced text that every output
+    prints as is.  The text, CSV and JSON outputs and the cache file each
+    fill one row template with all of the rows (``_fill``)."""
 
     __slots__ = ("g", "n", "max_sum", "text")
 
@@ -376,11 +390,8 @@ class CountTable:
 
     def csv_text(self) -> str:
         header = ["g", "n"] + [f"p_{j + 1}" for j in range(self.n)] + ["numerator", "denominator"]
-        lines = [",".join(header)]
-        lines += [
-            f"{self.g},{self.n},{','.join(map(str, p))},{text.replace('/', ',')}" for p, text in self.text
-        ]
-        return "\n".join(lines) + "\n"
+        rows = self._fill(f"{self.g},{self.n},", ",", ",%s\n")
+        return ",".join(header) + "\n" + rows.replace("/", ",")
 
     def to_json_dict(self) -> dict:
         return {
@@ -392,13 +403,30 @@ class CountTable:
             "entries": [[list(p), text] for p, text in self.text],
         }
 
+    def _fill(self, start: str, between: str, end: str, sep: str = "", dumps=None) -> str:
+        """Every row in vector order: ``start``, the vector's entries joined by
+        ``between``, then ``end``, whose ``%s`` is the value text; the rows
+        joined by ``sep`` and filled by ``%`` passes over the flattened
+        rows.  Given ``dumps``, a JSON encoder with sorted keys, they are the
+        entries of ``dumps(self.to_json_dict())`` (``sep`` its item separator)."""
+        row = start + between.join(["%d"] * self.n) + end
+        # 4096 rows to a pass, so that no flattened tuple grows with the table
+        parts = (self.text[i : i + 4096] for i in range(0, len(self.text), 4096))
+        rows = sep.join(sep.join([row] * len(part)) % tuple(chain.from_iterable(p + (v,) for p, v in part))
+                        for part in parts)
+        if dumps is None:
+            return rows
+        # the document encoded with one placeholder entry, which the rows replace
+        doc = CountTable(self.g, self.n, self.max_sum, []).to_json_dict() | {"entries": ["%s"]}
+        return dumps(doc).replace('"%s"', rows, 1)
+
 
 def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountTable:
     """Tabulate N_{g,n} over every perimeter vector with sum <= max_sum, in
     one pass under one lock: an odd total is 0, an even one up to R = 2d + 2n
-    comes from ``count`` (the recursion there) and one past R off its class
-    polynomial, each perimeter's base row B_j cached.  Values
-    are kept as ``"num/den"`` text; a table read from its cache calls no ``count``.
+    comes from ``count`` (the recursion there) and those past R off their
+    class polynomials, one evaluation per class.  Values are kept as
+    ``"num/den"`` text; a table read from its cache calls no ``count``.
 
     When ``cache_dir`` (or the RIBBONVOL_CACHE_DIR environment variable)
     is set, the table is read from / written to a JSON file addressed by
@@ -424,14 +452,22 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
         table = _load_cache(path, g, n, max_sum)
         if table is not None:
             return table
-    big, text = _grid_bound(g, n), []
+    big, text, classes = _grid_bound(g, n), [], {}
     with _lock:
         for p in perimeter_vectors(n, max_sum, ascending=True):
             if (total := sum(p)) % 2:
                 text.append((p, "0/1"))
-                continue
-            v = count(g, n, p) if total <= big else _class_count(g, n, p)
-            text.append((p, f"{v.numerator}/{v.denominator}"))
+            elif total <= big:
+                v = count(g, n, p)
+                text.append((p, f"{v.numerator}/{v.denominator}"))
+            else:  # filled in below, with the rest of its parity class
+                classes.setdefault(sum(map(_odd, p)), []).append(len(text))
+                text.append(p)
+        for rows in classes.values():
+            nums, den = _class_values(g, n, [text[i] for i in rows])
+            for i, num in zip(rows, nums):
+                c = gcd(num, den)
+                text[i] = (text[i], f"{num // c}/{den // c}")
     table = CountTable(g, n, max_sum, text)
     if path:
         _write_cache(path, table)
@@ -448,8 +484,8 @@ def _write_cache(path: str, table: CountTable) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # json.dumps without indent is the C encoder; json.dump never is
-            fh.write(json.dumps(table.to_json_dict(), sort_keys=True, separators=(",", ":")))
+            compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+            fh.write(table._fill("[[", ",", '],"%s"]', ",", compact))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -246,9 +247,32 @@ def test_poly_and_census_json_are_the_indented_json_of_their_documents(capsys):
              for e, c in compute(LAPLACE, 1, 3).sorted_terms()]
     doc = {"arity": 3, "g": 1, "kind": "L", "n": 3, "terms": terms}
     assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    code, out = run(capsys, "count", "--gn", "0,4", "--max-sum", "12", "--format", "json")
-    doc = census(0, 4, 12).to_json_dict()
-    assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # one table past its grids for each n, as the row template fills it
+    for g, n in [(2, 1), (1, 2), (1, 3), (0, 4), (0, 5), (0, 6)]:
+        bound = lattice._grid_bound(g, n) + 6
+        code, out = run(capsys, "count", "--gn", f"{g},{n}", "--max-sum", str(bound), "--format", "json")
+        doc = census(g, n, bound).to_json_dict()
+        assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n"), (g, n)
+
+
+# sha256 of ``count --gn g,n --max-sum S --format text|csv``, as printed
+# when every row was formatted on its own; the benchmark's census tables
+CENSUS_DIGESTS = {
+    (0, 4, 38, "text"): "0db7a90b72873d1bab443b0d61277c14cb2218f462dede3f7110e74add431216",
+    (0, 4, 38, "csv"): "719b6506a004eb5131dcf7d8b13fc301d7193dc90dd47daae21c219e29e93ad8",
+    (1, 2, 54, "text"): "de23315036e9c3e866f863544c442a190b0e747b5e1915c0bcf9b24d72211ad5",
+    (1, 2, 54, "csv"): "cf6e5a77bee5efc8487fcdca8e72ee149648cb23732341dd01060ad821a457c0",
+    (0, 5, 24, "text"): "ebc3154ba8fca4c97869e49442e89cfb15d2d25b867548efb0430fdcd0657be0",
+    (0, 5, 24, "csv"): "ff71622b8f0096eab1c5b7bea89c03fe33a42b098eaadb0b1f6691cfbc3c26b4",
+    (1, 4, 20, "text"): "2ac1e968eaa8c42607e914700762e1a08cfba80e80e9263823815c435ea8976b",
+    (1, 4, 20, "csv"): "da1a8fcce23d643b83daf5f5fe81900523ffc243cead3b7d9d8c6294118dab2d",
+}
+
+
+def test_census_text_and_csv_print_their_pinned_bytes(capsys):
+    for (g, n, bound, fmt), digest in CENSUS_DIGESTS.items():
+        code, out = run(capsys, "count", "--gn", f"{g},{n}", "--max-sum", str(bound), "--format", fmt)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (g, n, bound, fmt)
 
 
 def test_poly_latex(capsys):
@@ -294,7 +318,7 @@ def test_the_series_suite_checks_the_class_route(capsys, monkeypatch):
     # the suite compares L_{g,n} with the counts ``count`` serves, so with the
     # class route broken every type that takes it at the default level fails;
     # (0, 4) takes it only from sum 20 on, and still passes
-    monkeypatch.setattr(lattice, "_class_count", _broken)
+    monkeypatch.setattr(lattice, "_class_values", _broken)
     clear_caches()
     code, out = run(capsys, "verify", "--suite", "series", "--format", "jsonl")
     assert code == 1

@@ -142,15 +142,18 @@ def test_deep_values_at_rescaled_tables():
 
 @pytest.mark.parametrize("g,n", stable_types(5))
 def test_class_polynomials_equal_the_recursion_past_their_grids(g, n):
-    # the class route called directly, whatever ``count`` would choose
+    # the class evaluator called directly, whatever ``count`` would choose:
+    # once per parity class, on all of its vectors past R in both orders
     bound = lattice._grid_bound(g, n)
     clear_caches()
-    checked = 0
+    classes = {}
     for p in perimeter_vectors(n, bound + 12, ascending=True):
         if sum(p) > bound and sum(p) % 2 == 0:
-            assert lattice._class_count(g, n, p) == _by_recursion(g, n, p), p
-            checked += 1
-    assert checked
+            classes.setdefault(sum(x % 2 for x in p), []).extend([p, p[::-1]])
+    assert classes
+    for vectors in classes.values():
+        nums, den = lattice._class_values(g, n, vectors)
+        assert [F(num, den) for num in nums] == [_by_recursion(g, n, p) for p in vectors], vectors
 
 
 @pytest.mark.parametrize("g, p", [(4, 60), (5, 80)])
@@ -393,10 +396,15 @@ def test_census_asks_count_up_to_its_grid_bound_and_only_when_computing(tmp_path
 
 
 def test_census_cache_round_trip(tmp_path, monkeypatch):
+    # one line of compact JSON, for a table past its grids at each n
+    for g, n in [(2, 1), (1, 2), (1, 3), (0, 4), (0, 5), (0, 6)]:
+        bound = lattice._grid_bound(g, n) + 6
+        table = census(g, n, bound, cache_dir=str(tmp_path / "each"))
+        written = (tmp_path / "each" / f"census-g{g}-n{n}-P{bound}.json").read_text()
+        assert written == json.dumps(table.to_json_dict(), sort_keys=True, separators=(",", ":")), (g, n)
     first = census(1, 1, 10, cache_dir=str(tmp_path))
     files = list(tmp_path.glob("census-*.json"))
     assert len(files) == 1
-    # one line of compact JSON
     written = files[0].read_text()
     assert written == json.dumps(first.to_json_dict(), sort_keys=True, separators=(",", ":"))
     doc = json.loads(written)
@@ -453,6 +461,9 @@ def test_census_cache_with_wrong_keys_or_values_is_recomputed(tmp_path):
         {**good, "entries": []},
         {**good, "entries": None},
         [good],
+        {**good, "entries": good["entries"][:-1] + [[[4]]]},  # an entry of one item
+        {**good, "entries": good["entries"][:-1] + [[[4], "1/4", "1/4"]]},  # and of three
+        {**good, "entries": good["entries"][:-1] + [["4", "1/4"]]},  # a vector spelled as a string
     ]
     for doc in bad_docs:
         target.write_text(json.dumps(doc))
@@ -478,7 +489,12 @@ def test_census_cache_in_a_form_the_writer_never_produces_is_recomputed(tmp_path
         last_value(" 2/3"),
         last_value("+2/3"),
         {**good, "entries": [[p, "0"] if v == "0/1" else [p, v] for p, v in good["entries"]]},
+        {**good, "entries": [[p, "-0/1"] if v == "0/1" else [p, v] for p, v in good["entries"]]},
+        {**good, "entries": [[p, "0/2"] if v == "0/1" else [p, v] for p, v in good["entries"]]},
         {**good, "note": "an extra top-level key"},
+        last_value("-2/-3"),  # both signs moved
+        last_value("2/0_3"),  # int() reads the underscore
+        last_value("\u0662/3"),  # and the Arabic-Indic digit two
     ]
     for doc in bad_docs:
         target.write_text(json.dumps(doc))

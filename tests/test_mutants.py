@@ -65,6 +65,9 @@ MUTANTS = {
     "class table skips first differences": (
         "lattice.py", "for level in range(1, len(line)):", "for level in range(2, len(line)):", {"series": 2}
     ),
+    "class evaluator reads its columns a level low": (
+        "lattice.py", "map(mul, term, column[m])", "map(mul, term, column[m - 1])", {"series": 2}
+    ),
     # the engine mutants, with the orbit guard on, as ``verify`` ships
     "SYMPLECTIC.base_03 x2": (
         "transform.py", "Fraction(-1, 8)", "Fraction(-1, 4)", {"ratio": 13, "eo": 3, "symplectic": 1}
