@@ -15,11 +15,19 @@ away), 2 on bad usage; ``main`` reports a failed computation on one line.
 
 Each subcommand imports only the modules it uses, and ``json`` only for
 JSON output, so start-up is paid for the work asked for and no more.
+
+``run`` is the process entry (``python -m ribbonvol.cli`` and the
+``ribbonvol`` script).  Once ``main`` returns it freezes the garbage
+collector, so the full collections of interpreter shutdown skip every
+object the run created; atexit handlers, the flush of stdout and stderr
+and profilers still run as usual.  ``main`` is the in-process API and
+never freezes: a caller that runs it many times keeps its own collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -271,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_count.add_argument("--cache-dir", metavar="DIR", help="directory for census caching")
-    p_count.set_defaults(handler=_cmd_count)
+    p_count.set_defaults(handler=_cmd_count, parser=p_count)
 
     p_poly = sub.add_parser("poly", help="print a polynomial")
     p_poly.add_argument("kind", choices=sorted(_POLY_KINDS), help="L, VE or VS")
     p_poly.add_argument("g", type=int)
     p_poly.add_argument("n", type=int)
     p_poly.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p_poly.set_defaults(handler=_cmd_poly)
+    p_poly.set_defaults(handler=_cmd_poly, parser=p_poly)
 
     p_verify = sub.add_parser("verify", help="run consistency suites")
     p_verify.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
@@ -291,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--trials", type=int, default=5)
     p_verify.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.set_defaults(handler=_cmd_verify, parser=p_verify)
 
     p_int = sub.add_parser("intersect", help="intersection numbers from V^S")
     p_int.add_argument("g", type=int)
     p_int.add_argument("n", type=int)
-    p_int.set_defaults(handler=_cmd_intersect)
+    p_int.set_defaults(handler=_cmd_intersect, parser=p_int)
 
     return parser
 
@@ -305,7 +313,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args, parser)
+        # a handler's usage errors name its subcommand, as argparse's own do
+        code = args.handler(args, args.parser)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away: send the rest, and the flush at exit, nowhere
@@ -324,5 +333,13 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """Run ``main`` as a whole process, leaving through ``SystemExit``."""
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

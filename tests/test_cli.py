@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from ribbonvol import clear_caches, crosscheck, eo, lattice, transform
+from ribbonvol import cli, clear_caches, crosscheck, eo, lattice, transform
 from ribbonvol.cli import _json_text, main
 from ribbonvol.exactmath import EvenLaurentPoly
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -443,12 +446,11 @@ def test_running_out_of_memory_is_an_error_not_a_traceback(
 def test_a_reader_that_stops_early_ends_the_run_quietly():
     # L(1,5) prints about 100 kB, more than a pipe holds, so the CLI is
     # still writing when the reader closes its end
-    src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.Popen(
         [sys.executable, "-m", "ribbonvol.cli", "poly", "L", "1", "5"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     try:
         assert len(proc.stdout.read(10)) == 10
@@ -458,6 +460,107 @@ def test_a_reader_that_stops_early_ends_the_run_quietly():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+# ---------------------------------------------------------------------------
+# the process entry: ``run`` is ``main`` plus a frozen collector at exit
+
+
+def _child(*argv, **kwargs):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *argv], env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "pipe"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "L", "1", "5", "--format", "json"],  # more than a pipe holds
+        ["count", "--gn", "0,4", "--max-sum", "38", "--format", "csv"],
+        ["verify", "--suite", "golden", "--format", "jsonl"],
+        ["--version"],
+        ["count", "--gn", "0,2", "--p", "3"],  # a usage error, status 2
+    ],
+    ids=["poly-json", "census-csv", "golden-jsonl", "version", "usage-error"],
+)
+def test_a_process_prints_what_main_prints(capsys, monkeypatch, tmp_path, argv, to_file):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    expected = _invoke(capsys, argv)
+    if to_file:
+        with open(tmp_path / "out", "wb") as out:
+            proc = _child("-m", "ribbonvol.cli", *argv, stdout=out, stderr=subprocess.PIPE)
+        stdout = (tmp_path / "out").read_bytes()
+    else:
+        proc = _child("-m", "ribbonvol.cli", *argv, capture_output=True)
+        stdout = proc.stdout
+    assert (proc.returncode, stdout.decode(), proc.stderr.decode()) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["count", "--gn", "1,1", "--p", "6"], 0),
+        (["count", "--gn", "0,2", "--p", "3"], 2),
+        (["--version"], 0),
+    ],
+    ids=["return", "usage-error", "version"],
+)
+def test_the_process_entry_freezes_once_on_its_way_out(capsys, monkeypatch, argv, code):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    monkeypatch.setattr(sys, "argv", ["ribbonvol", *argv])
+    with pytest.raises(SystemExit) as err:
+        cli.run()
+    assert err.value.code == code
+    assert freezes == [1]
+    capsys.readouterr()
+
+
+def test_the_process_entry_freezes_once_when_main_raises(monkeypatch):
+    def _raise_runtime_error(argv=None):
+        raise RuntimeError("from main")
+
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    monkeypatch.setattr(cli, "main", _raise_runtime_error)
+    with pytest.raises(RuntimeError, match="^from main$"):
+        cli.run()
+    assert freezes == [1]
+
+
+def test_main_never_freezes(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["count", "--gn", "1,1", "--p", "6"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+def test_a_profiler_still_reports_after_the_process_entry():
+    # the interpreter's own exit runs; a hard exit would skip the profiler's report
+    proc = _child("-m", "cProfile", "-m", "ribbonvol.cli", "count", "--gn", "1,1", "--p", "6",
+                  capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("2/3\n")
+    assert "function calls" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["count", "--gn", "1,x", "--p", "2"], "invalid literal for int() with base 10: 'x'"),
+        (["poly", "L", "0", "2"], "(0, 2) is not a stable surface type"),
+        (["verify", "--trials", "0"], "--trials must be positive"),
+        (["intersect", "-1", "2"], "(-1, 2) is not a stable surface type"),
+    ],
+    ids=["count", "poly", "verify", "intersect"],
+)
+def test_a_subcommand_usage_error_prints_that_subcommands_usage(capsys, argv, text):
+    code, out, err = _invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: ribbonvol {argv[0]} [-h]")
+    assert err.endswith(f"\nribbonvol {argv[0]}: error: {text}\n")
 
 
 def test_verify_output_is_deterministic(capsys):
