@@ -10,8 +10,9 @@ Subcommands:
 All output is deterministic for fixed arguments: table rows, JSON keys and
 verification cases are emitted in sorted order, and randomized suites are
 driven by the --seed value.  Exit status is 0 on success, 1 when a
-verification or computation fails (or the reader of the output goes
-away), 2 on bad usage; ``main`` reports a failed computation on one line.
+verification, computation or write of the output fails (a reader that
+goes away ends it quietly), 2 on bad usage; ``main`` reports a failure on
+one line.
 
 Each subcommand imports only the modules it uses, and ``json`` only for
 JSON output, so start-up is paid for the work asked for and no more.
@@ -69,31 +70,6 @@ def _poly_text(poly) -> str:
     return " + ".join(pieces)
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` for a document of dicts,
-    lists, strings and ints, written directly: json's indented encoder is
-    pure Python, and several times slower."""
-    from json.encoder import encode_basestring_ascii as quote
-
-    def text(value, pad: str) -> str:
-        if type(value) is str:
-            return quote(value)
-        if type(value) is int:
-            return str(value)
-        inner = pad + "  "
-        if type(value) is dict:
-            items = [f"{quote(key)}: {text(item, inner)}" for key, item in sorted(value.items())]
-            brackets = "{}"
-        else:
-            items = [text(item, inner) for item in value]
-            brackets = "[]"
-        if not items:
-            return brackets
-        return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}"
-
-    return text(doc, "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -135,7 +111,9 @@ def _cmd_count(args, parser) -> int:
         sys.stdout.write(table.csv_text())
     elif args.format == "json":
         # each row as json.dumps(indent=2) writes an item of "entries"
-        print(table._fill("[\n      [\n        ", ",\n        ", '\n      ],\n      "%s"\n    ]', ",\n    ", _json_text))
+        import json
+        print(table._fill("[\n      [\n        ", ",\n        ", '\n      ],\n      "%s"\n    ]', ",\n    ",
+                          lambda doc: json.dumps(doc, indent=2, sort_keys=True)))
     else:
         sys.stdout.write(table._fill("", " ", "\t%s\n"))
     return 0
@@ -148,10 +126,15 @@ def _cmd_poly(args, parser) -> int:
     _require_stable(parser, args.g, args.n)
     poly = compute(config, args.g, args.n)
     if args.format == "json":
-        terms = [{"coefficient": f"{num}/{den}", "exponents": list(exps)}
-                 for exps, num, den in poly.reduced_rows()]
-        doc = {"arity": poly.arity, "g": args.g, "kind": args.kind, "n": args.n, "terms": terms}
-        print(_json_text(doc))
+        import json
+
+        # each term as json.dumps(indent=2) writes an item of "terms"
+        rows = poly.reduced_rows()
+        exponents = ",\n        ".join(["%d"] * poly.arity)
+        row = '{\n      "coefficient": "%d/%d",\n      "exponents": [\n        ' + exponents + "\n      ]\n    }"
+        values = tuple(v for exps, num, den in rows for v in (num, den, *exps))
+        doc = {"arity": poly.arity, "g": args.g, "kind": args.kind, "n": args.n, "terms": ["%s"]}
+        print(json.dumps(doc, indent=2, sort_keys=True).replace('"%s"', ",\n    ".join([row] * len(rows)) % values, 1))
     elif args.format == "latex":
         print(poly.to_latex())
     else:
@@ -316,9 +299,12 @@ def main(argv=None) -> int:
         # a handler's usage errors name its subcommand, as argparse's own do
         code = args.handler(args, args.parser)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away: send the rest, and the flush at exit, nowhere
+    except OSError as exc:
+        # the output failed: send the rest, and the flush at exit, nowhere;
+        # a reader that went away ends the run quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:
         # the recursions go one call deeper per step of g or n

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from ribbonvol import cli, clear_caches, crosscheck, eo, lattice, transform
-from ribbonvol.cli import _json_text, main
+from ribbonvol.cli import main
 from ribbonvol.exactmath import EvenLaurentPoly
+from ribbonvol.surface import stable_types
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -228,28 +229,18 @@ def test_poly_json_round_trip(capsys):
     assert poly == compute(LAPLACE, 1, 2)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"arity": 2, "g": 0, "kind": "L", "n": 2, "terms": []},
-        {"b": [1, [], {}, [-2, "x\"y\u00e9"]], "a": {"z": "", "y": [[3]]}},
-        [],
-        {},
-    ],
-)
-def test_the_json_writer_prints_what_json_dumps_prints(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-
 def test_poly_and_census_json_are_the_indented_json_of_their_documents(capsys):
     from ribbonvol.lattice import census
-    from ribbonvol.transform import LAPLACE, compute
+    from ribbonvol.transform import CONFIGS, compute
 
-    code, out = run(capsys, "poly", "L", "1", "3", "--format", "json")
-    terms = [{"coefficient": f"{c.numerator}/{c.denominator}", "exponents": list(e)}
-             for e, c in compute(LAPLACE, 1, 3).sorted_terms()]
-    doc = {"arity": 3, "g": 1, "kind": "L", "n": 3, "terms": terms}
-    assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # every kind at every type up to complexity 4, the base tables (0,3) and (1,1) too
+    for kind, name in cli._POLY_KINDS.items():
+        for g, n in stable_types(4):
+            code, out = run(capsys, "poly", kind, str(g), str(n), "--format", "json")
+            terms = [{"coefficient": f"{c.numerator}/{c.denominator}", "exponents": list(e)}
+                     for e, c in compute(CONFIGS[name], g, n).sorted_terms()]
+            doc = {"arity": n, "g": g, "kind": kind, "n": n, "terms": terms}
+            assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n"), (kind, g, n)
     # one table past its grids for each n, as the row template fills it
     for g, n in [(2, 1), (1, 2), (1, 3), (0, 4), (0, 5), (0, 6)]:
         bound = lattice._grid_bound(g, n) + 6
@@ -460,6 +451,25 @@ def test_a_reader_that_stops_early_ends_the_run_quietly():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--gn", "1,1", "--p", "6"],
+        ["count", "--gn", "0,4", "--max-sum", "20"],
+        ["poly", "L", "1", "5", "--format", "json"],  # more than a write buffer holds
+    ],
+    ids=["count", "census", "poly-json"],
+)
+def test_a_full_output_device_is_an_error_not_a_traceback(argv):
+    with open("/dev/full", "wb") as full:
+        proc = _child("-m", "ribbonvol.cli", *argv, stdout=full, stderr=subprocess.PIPE)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # ---------------------------------------------------------------------------
