@@ -9,6 +9,7 @@ computes these exactly by a recursion in 2g-2+n.
 from fractions import Fraction
 
 from ribbonvol import LAPLACE, compute, count
+from ribbonvol.cli import main
 from ribbonvol.exactmath import laurent_to_series
 
 print("L_{1,1} as a Laurent polynomial in t^2 (exponent -> coefficient):")
@@ -17,8 +18,8 @@ for exps, c in p11.sorted_terms():
     print(f"  t^{2 * exps[0]:>3}: {c}")
 
 print()
-print("LaTeX form:")
-print(" ", p11.to_latex())
+print("LaTeX form, as `ribbonvol poly L 1 1 --format latex` prints it:")
+main(["poly", "L", "1", "1", "--format", "latex"])
 
 print()
 print("The expansion at x = 0 recovers the counts: the coefficient of")

@@ -59,15 +59,41 @@ def _fraction_text(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _poly_text(poly) -> str:
-    if not poly:
-        return "0"
-    pieces = []
-    for exps, num, den in poly.reduced_rows():
-        factors = [f"t{j + 1}^{2 * e}" for j, e in enumerate(exps) if e]
-        body = " ".join(factors) if factors else "1"
-        pieces.append(f"({num}) {body}" if den == 1 else f"({num}/{den}) {body}")
-    return " + ".join(pieces)
+def _text_piece(row) -> str:
+    exps, num, den = row
+    body = " ".join([f"t{j + 1}^{2 * e}" for j, e in enumerate(exps) if e]) or "1"
+    return f"({num}) {body}" if den == 1 else f"({num}/{den}) {body}"
+
+
+def _latex_piece(row) -> str:
+    exps, num, den = row
+    mono = "".join([f"t_{{{j + 1}}}^{{{2 * e}}}" for j, e in enumerate(exps) if e])
+    coeff = str(abs(num)) if den == 1 else rf"\frac{{{abs(num)}}}{{{den}}}"
+    # a unit coefficient prints as its sign alone, except on the constant
+    return f"{'-' if num < 0 else '+'} {'' if mono and coeff == '1' else coeff}{mono}"
+
+
+def _write_poly(rows, fmt: str, doc: dict) -> None:
+    """Write a polynomial's ``reduced_rows`` to stdout as ``fmt``, 4096 rows at
+    a time: JSON within ``doc`` (every key but ``terms``) as ``json.dumps``
+    indents it, LaTeX by total degree, highest first."""
+    head, tail, render, between = "" if rows else "0", "", _text_piece, " + "
+    if fmt == "json":
+        import json
+        # each term as json.dumps(indent=2) writes an item of "terms"
+        exponents = ",\n        ".join(["%d"] * doc["arity"])
+        row = '{\n      "coefficient": "%d/%d",\n      "exponents": [\n        ' + exponents + "\n      ]\n    }"
+        render, between = lambda r: row % (r[1], r[2], *r[0]), ",\n    "
+        doc = {**doc, "terms": ["%s"] if rows else []}
+        head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition('"%s"')
+    elif fmt == "latex":
+        rows, render, between = sorted(rows, key=lambda r: -sum(r[0])), _latex_piece, " "
+    sys.stdout.write(head)
+    for start in range(0, len(rows), 4096):
+        text = between.join(map(render, rows[start:start + 4096]))
+        # only a LaTeX piece starts with its sign, and a leading + is dropped
+        sys.stdout.write(between + text if start else text.removeprefix("+ "))
+    sys.stdout.write(tail + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +127,11 @@ def _cmd_count(args, parser) -> int:
             print(_fraction_text(value))
         return 0
 
+    cache_dir = args.cache_dir
+    if cache_dir is None:  # the variable stands in for the option; empty is unset
+        cache_dir = os.environ.get("RIBBONVOL_CACHE_DIR") or None
     try:
-        table = census(g, n, args.max_sum, cache_dir=args.cache_dir)
+        table = census(g, n, args.max_sum, cache_dir=cache_dir)
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:
@@ -125,20 +154,8 @@ def _cmd_poly(args, parser) -> int:
     config = CONFIGS[_POLY_KINDS[args.kind]]
     _require_stable(parser, args.g, args.n)
     poly = compute(config, args.g, args.n)
-    if args.format == "json":
-        import json
-
-        # each term as json.dumps(indent=2) writes an item of "terms"
-        rows = poly.reduced_rows()
-        exponents = ",\n        ".join(["%d"] * poly.arity)
-        row = '{\n      "coefficient": "%d/%d",\n      "exponents": [\n        ' + exponents + "\n      ]\n    }"
-        values = tuple(v for exps, num, den in rows for v in (num, den, *exps))
-        doc = {"arity": poly.arity, "g": args.g, "kind": args.kind, "n": args.n, "terms": ["%s"]}
-        print(json.dumps(doc, indent=2, sort_keys=True).replace('"%s"', ",\n    ".join([row] * len(rows)) % values, 1))
-    elif args.format == "latex":
-        print(poly.to_latex())
-    else:
-        print(_poly_text(poly))
+    doc = {"arity": poly.arity, "g": args.g, "kind": args.kind, "n": args.n}
+    _write_poly(poly.reduced_rows(), args.format, doc)
     return 0
 
 

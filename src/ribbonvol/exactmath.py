@@ -38,8 +38,8 @@ time, sharing a partial product among the vectors with the same prefix;
 ``laurent_to_series`` is its ``Fraction`` view, not in the package namespace.
 
 Coefficients are exact -- arbitrary-precision integers inside, reduced
-``fractions.Fraction`` values at the API -- and are serialized as exact
-``"numerator/denominator"`` strings, never floats.
+``fractions.Fraction`` values at the API.  Nothing here renders: the
+command line writes ``reduced_rows`` as text, JSON or LaTeX.
 """
 
 from __future__ import annotations
@@ -300,36 +300,19 @@ class EvenLaurentPoly:
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms sorted lexicographically by exponent vector, the order
-        ``reduced_rows`` prints them in."""
+        ``reduced_rows`` gives them in."""
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def reduced_rows(self) -> list[tuple[Exponents, int, int]]:
         """``(exponents, numerator, denominator)`` per term, each coefficient
-        reduced by one gcd, sorted by exponent vector: what the LaTeX and the
-        command line's text and JSON print."""
+        reduced by one gcd, sorted by exponent vector: the rows the command
+        line renders as text, JSON or LaTeX."""
         den = self._den
         rows = []
         for exps, c in sorted(self._num.items()):
             common = gcd(c, den)
             rows.append((exps, c // common, den // common))
         return rows
-
-    def to_latex(self) -> str:
-        """Render grouped by total degree, highest first."""
-        if not self._num:
-            return "0"
-        groups: dict[int, list[str]] = {}
-        for exps, num, den in self.reduced_rows():
-            mono = "".join(
-                f"t_{{{j + 1}}}^{{{2 * e}}}" for j, e in enumerate(exps) if e
-            )
-            sign = "-" if num < 0 else "+"
-            coeff = str(abs(num)) if den == 1 else rf"\frac{{{abs(num)}}}{{{den}}}"
-            if mono and coeff == "1":
-                coeff = ""
-            groups.setdefault(sum(exps), []).append(f"{sign} {coeff}{mono}".strip())
-        text = " ".join(" ".join(groups[deg]) for deg in sorted(groups, reverse=True))
-        return text[2:] if text.startswith("+ ") else text
 
 
 def _fill(poly: EvenLaurentPoly, arity: int, num: dict[Exponents, int], den: int) -> None:

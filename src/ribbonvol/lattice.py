@@ -428,20 +428,19 @@ def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountT
     class polynomials, one evaluation per class.  Values are kept as
     ``"num/den"`` text; a table read from its cache calls no ``count``.
 
-    When ``cache_dir`` (or the RIBBONVOL_CACHE_DIR environment variable)
-    is set, the table is read from / written to a JSON file addressed by
-    (g, n, max_sum); a file is used, its text as the rows, only if it is
-    field by field the writer's document (``_load_cache``), and is
-    otherwise recomputed and replaced.  The directory is made before
-    anything is computed; an unusable one raises ``OSError``
-    (``NotADirectoryError`` for a file).  A ``max_sum`` below ``n`` admits
-    no vector and is rejected rather than answered with an empty table.
+    When ``cache_dir`` is given (no environment is read), the table is read
+    from / written to a JSON file addressed by (g, n, max_sum); a file is
+    used, its text as the rows, only if it is field by field the writer's
+    document (``_load_cache``), and is otherwise recomputed and replaced.
+    The directory is made before anything is computed; an unusable one, ""
+    too, raises ``OSError`` (``NotADirectoryError`` for a file).  A
+    ``max_sum`` below ``n`` admits no vector and is rejected rather than
+    answered with an empty table.
     """
     check_stable(g, n)
     _check_int("max_sum", max_sum, n)
-    cache_dir = cache_dir or os.environ.get("RIBBONVOL_CACHE_DIR")
     path = None
-    if cache_dir:
+    if cache_dir is not None:
         if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
             raise NotADirectoryError(f"cache directory {cache_dir!r} is not a directory")
         try:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -99,11 +100,11 @@ def test_count_census_cache_dir_that_is_a_file(capsys, tmp_path):
     assert "is not a directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["nul-byte", "under-a-file"])
+@pytest.mark.parametrize("where", ["nul-byte", "under-a-file", "empty"])
 def test_count_census_unusable_cache_dir_fails_first(capsys, monkeypatch, tmp_path, where):
     a_file = tmp_path / "a-file"
     a_file.write_text("")
-    cache_dir = "bad\0path" if where == "nul-byte" else str(a_file / "sub")
+    cache_dir = {"nul-byte": "bad\0path", "under-a-file": str(a_file / "sub"), "empty": ""}[where]
 
     def no_counting(*args):
         raise AssertionError("a count was computed for an unusable cache directory")
@@ -114,6 +115,23 @@ def test_count_census_unusable_cache_dir_fails_first(capsys, monkeypatch, tmp_pa
         main(["count", "--gn", "0,4", "--max-sum", "12", "--cache-dir", cache_dir])
     assert err.value.code == 2
     assert "error: census cache: " in capsys.readouterr().err
+
+
+def test_count_census_cache_env_var(capsys, monkeypatch, tmp_path):
+    argv = ["count", "--gn", "0,3", "--max-sum", "5"]
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("RIBBONVOL_CACHE_DIR", str(tmp_path / "env"))
+    assert run(capsys, *argv) == expected
+    assert [f.name for f in (tmp_path / "env").iterdir()] == ["census-g0-n3-P5.json"]
+    # --cache-dir wins over the variable
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path / "flag")) == expected
+    assert [f.name for f in (tmp_path / "flag").iterdir()] == ["census-g0-n3-P5.json"]
+    # an empty variable counts as unset, and a single count reads none
+    monkeypatch.setenv("RIBBONVOL_CACHE_DIR", "")
+    assert run(capsys, *argv) == expected
+    monkeypatch.setenv("RIBBONVOL_CACHE_DIR", str(tmp_path / "unused"))
+    assert run(capsys, "count", "--gn", "0,3", "--p", "2,2,2") == (0, "1/1\n")
+    assert not (tmp_path / "unused").exists()
 
 
 def test_count_census_cache_write_failure_is_a_usage_error(capsys, monkeypatch, tmp_path):
@@ -273,6 +291,55 @@ def test_poly_latex(capsys):
     code, out = run(capsys, "poly", "VE", "1", "1", "--format", "latex")
     assert code == 0
     assert out == "- \\frac{1}{128}t_{1}^{2}\n"
+
+
+def _written(capsys, poly, fmt):
+    cli._write_poly(poly.reduced_rows(), fmt, {"arity": poly.arity})
+    return capsys.readouterr().out
+
+
+def test_poly_latex_writer(capsys):
+    p = EvenLaurentPoly(2, {(2, 0): F(5, 128), (1, 1): F(3, 128), (0, 2): F(5, 128)})
+    assert _written(capsys, p, "latex") == (
+        r"\frac{5}{128}t_{2}^{4} + \frac{3}{128}t_{1}^{2}t_{2}^{2} + \frac{5}{128}t_{1}^{4}" "\n"
+    )
+    # a unit coefficient prints as its sign alone, except on the constant
+    units = EvenLaurentPoly(2, {(1, 0): 1, (0, 1): -1})
+    assert _written(capsys, units, "latex") == "- t_{2}^{2} + t_{1}^{2}\n"
+    constant = EvenLaurentPoly(2, {(0, 0): 1, (0, -1): -1})
+    assert _written(capsys, constant, "latex") == "1 - t_{2}^{-2}\n"
+
+
+def test_the_zero_polynomial_in_every_format(capsys):
+    zero = EvenLaurentPoly.zero(1)
+    assert _written(capsys, zero, "text") == _written(capsys, zero, "latex") == "0\n"
+    assert _written(capsys, zero, "json") == json.dumps({"arity": 1, "terms": []}, indent=2) + "\n"
+
+
+# sha256 of ``poly KIND g n --format text|json|latex``, as printed when the
+# JSON was filled in one pass and the LaTeX grouped in a dict; L(0,7)'s
+# 8,542 rows span three of the writer's slices, so these pins also catch a
+# LaTeX sort, a dropped sign or a separator that goes wrong at a slice edge
+POLY_DIGESTS = {
+    ("L", 1, 5, "text"): "4b9b50e24ce05151fab0ed30c4b9ab48b858b63a0d6337019105ced9ca04554b",
+    ("L", 1, 5, "json"): "804838d425fbf950800660a6d07bbdbd434cb1aa095a2d9de9c29fcad377f07a",
+    ("L", 1, 5, "latex"): "20eeef879bcff0462d97b8cece737ba5fa55020a869a9476fa8242326383143c",
+    ("L", 0, 6, "text"): "6b4e4bc47b9369061ac00670b63799419c85e9f41e5e03ced4cfa7222e6b3e4c",
+    ("L", 0, 6, "json"): "9d34306fb915873bab786cf81513a79e6b2fb5ec6ce53e9769463df98a04f475",
+    ("L", 0, 6, "latex"): "9a6f12163db0a196e933c21e707895031ba2aba6b76bf273e2468bc80faf7214",
+    ("VE", 3, 3, "text"): "46128f60594dd0f00daf54d8e89fd079ee7a18a027b36e35aea84b368121fdeb",
+    ("VE", 3, 3, "json"): "a9b55b644ca1b154c392186205c20a1f5a23a4c79ba611bf6045878703b2e208",
+    ("VE", 3, 3, "latex"): "b02458916e3b68f5a4540401527152b70d4d498d181e25226af32015e10462d4",
+    ("L", 0, 7, "text"): "09b9177edd7f0abd040c71762c091af0d86f5f5371b9189769cc047aa3a70516",
+    ("L", 0, 7, "json"): "efdd87f115dd0f1d2057d39e7e7675db072c8695f854c4dc511508b7c6473069",
+    ("L", 0, 7, "latex"): "5b25e9d1702aac16045766c74b66a0de5ac82b011c43f67546cae3d5324c74a0",
+}
+
+
+def test_poly_prints_its_pinned_bytes(capsys):
+    for (kind, g, n, fmt), digest in POLY_DIGESTS.items():
+        code, out = run(capsys, "poly", kind, str(g), str(n), "--format", fmt)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (kind, g, n, fmt)
 
 
 def test_poly_rejects_unstable(capsys):

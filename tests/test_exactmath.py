@@ -255,18 +255,6 @@ def test_reduced_rows_round_trip():
     assert EvenLaurentPoly.zero(3).reduced_rows() == []
 
 
-def test_latex():
-    p = EvenLaurentPoly(2, {(2, 0): F(5, 128), (1, 1): F(3, 128), (0, 2): F(5, 128)})
-    assert (
-        p.to_latex()
-        == r"\frac{5}{128}t_{2}^{4} + \frac{3}{128}t_{1}^{2}t_{2}^{2} + \frac{5}{128}t_{1}^{4}"
-    )
-    assert EvenLaurentPoly.zero(1).to_latex() == "0"
-    # a unit coefficient prints as its sign alone, except on the constant
-    assert EvenLaurentPoly(2, {(1, 0): 1, (0, 1): -1}).to_latex() == "- t_{2}^{2} + t_{1}^{2}"
-    assert EvenLaurentPoly(2, {(0, 0): 1, (0, -1): -1}).to_latex() == "1 - t_{2}^{-2}"
-
-
 # divided differences --------------------------------------------------------
 # The package itself never divides: the divided difference and its quotient
 # check are kept here as a test of the core's ring operations, and the

@@ -608,7 +608,10 @@ def test_concurrent_census_writers_share_no_file(tmp_path, monkeypatch):
         target.unlink()
 
 
-def test_census_cache_env_var(tmp_path, monkeypatch):
+def test_census_reads_no_environment(tmp_path, monkeypatch):
+    # the command line resolves RIBBONVOL_CACHE_DIR; a caller in process that
+    # names no cache_dir gets no cache, whatever its shell holds
     monkeypatch.setenv("RIBBONVOL_CACHE_DIR", str(tmp_path))
     census(0, 3, 5)
-    assert list(tmp_path.glob("census-g0-n3-P5.json"))
+    census(0, 4, 12)
+    assert list(tmp_path.iterdir()) == []
