@@ -16,6 +16,7 @@ one line.
 
 Each subcommand imports only the modules it uses, and ``json`` only for
 JSON output, so start-up is paid for the work asked for and no more.
+Polynomials and census text and JSON print through one ``_write_table``.
 
 ``run`` is the process entry (``python -m ribbonvol.cli`` and the
 ``ribbonvol`` script).  Once ``main`` returns it freezes the garbage
@@ -70,13 +71,23 @@ def _latex_piece(row) -> str:
     mono = "".join([f"t_{{{j + 1}}}^{{{2 * e}}}" for j, e in enumerate(exps) if e])
     coeff = str(abs(num)) if den == 1 else rf"\frac{{{abs(num)}}}{{{den}}}"
     # a unit coefficient prints as its sign alone, except on the constant
-    return f"{'-' if num < 0 else '+'} {'' if mono and coeff == '1' else coeff}{mono}"
+    return f" {'-' if num < 0 else '+'} {'' if mono and coeff == '1' else coeff}{mono}"
+
+
+def _write_table(head: str, rows, render, between: str, tail: str) -> None:
+    """Write ``head``, each of ``rows`` through ``render`` joined by
+    ``between``, then ``tail`` and a newline to stdout, 4096 rows at a time."""
+    sys.stdout.write(head)
+    for start in range(0, len(rows), 4096):
+        text = between.join(map(render, rows[start:start + 4096]))
+        sys.stdout.write(between + text if start else text)
+    sys.stdout.write(tail + "\n")
 
 
 def _write_poly(rows, fmt: str, doc: dict) -> None:
-    """Write a polynomial's ``reduced_rows`` to stdout as ``fmt``, 4096 rows at
-    a time: JSON within ``doc`` (every key but ``terms``) as ``json.dumps``
-    indents it, LaTeX by total degree, highest first."""
+    """Write a polynomial's ``reduced_rows`` to stdout as ``fmt``: JSON within
+    ``doc`` (every key but ``terms``) as ``json.dumps`` indents it, LaTeX by
+    total degree, highest first."""
     head, tail, render, between = "" if rows else "0", "", _text_piece, " + "
     if fmt == "json":
         import json
@@ -86,14 +97,11 @@ def _write_poly(rows, fmt: str, doc: dict) -> None:
         render, between = lambda r: row % (r[1], r[2], *r[0]), ",\n    "
         doc = {**doc, "terms": ["%s"] if rows else []}
         head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition('"%s"')
-    elif fmt == "latex":
-        rows, render, between = sorted(rows, key=lambda r: -sum(r[0])), _latex_piece, " "
-    sys.stdout.write(head)
-    for start in range(0, len(rows), 4096):
-        text = between.join(map(render, rows[start:start + 4096]))
-        # only a LaTeX piece starts with its sign, and a leading + is dropped
-        sys.stdout.write(between + text if start else text.removeprefix("+ "))
-    sys.stdout.write(tail + "\n")
+    elif fmt == "latex" and rows:
+        rows = sorted(rows, key=lambda r: -sum(r[0]))
+        # every piece starts with its sign, and the first drops a leading +
+        head, render, between = _latex_piece(rows.pop(0))[1:].removeprefix("+ "), _latex_piece, ""
+    _write_table(head, rows, render, between, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +109,7 @@ def _write_poly(rows, fmt: str, doc: dict) -> None:
 
 
 def _cmd_count(args, parser) -> int:
-    from .lattice import census, count
+    from .lattice import CountTable, census, count
 
     try:
         g, n = _parse_gn(args.gn)
@@ -138,13 +146,16 @@ def _cmd_count(args, parser) -> int:
         parser.error(f"census cache: {exc}")
     if args.format == "csv":
         sys.stdout.write(table.csv_text())
-    elif args.format == "json":
-        # each row as json.dumps(indent=2) writes an item of "entries"
+        return 0
+    head, tail, row, between = "", "", " ".join(["%d"] * n) + "\t%s", "\n"
+    if args.format == "json":
         import json
-        print(table._fill("[\n      [\n        ", ",\n        ", '\n      ],\n      "%s"\n    ]', ",\n    ",
-                          lambda doc: json.dumps(doc, indent=2, sort_keys=True)))
-    else:
-        sys.stdout.write(table._fill("", " ", "\t%s\n"))
+        # each row as json.dumps(indent=2) writes an item of "entries"
+        row = "[\n      [\n        " + ",\n        ".join(["%d"] * n) + '\n      ],\n      "%s"\n    ]'
+        doc = CountTable(g, n, args.max_sum, []).to_json_dict() | {"entries": ["%s"]}
+        head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition('"%s"')
+        between = ",\n    "
+    _write_table(head, table.text, lambda r: row % (*r[0], r[1]), between, tail)
     return 0
 
 

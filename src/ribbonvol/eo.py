@@ -217,8 +217,11 @@ def residue_sum(curve: SpectralCurveSpec, g: int, n: int,
 
 def sample_spectators(curve_name: str, g: int, n: int, trials: int,
                       seed: int) -> list[tuple[Fraction, ...]]:
-    """Deterministic spectator draws: distinct odd primes with random signs."""
+    """Deterministic spectator draws: n - 1 distinct odd primes of 12, with random signs."""
+    check_stable(g, n)
     _check_int("trials", trials, 1)
+    if n - 1 > len(_SPECTATOR_POOL):
+        raise ValueError(f"at most {len(_SPECTATOR_POOL)} spectators can be drawn, not {n - 1}")
     rng = random.Random(f"{curve_name}:{g}:{n}:{seed}")
     draws = []
     for _ in range(trials):
@@ -230,11 +233,11 @@ def sample_spectators(curve_name: str, g: int, n: int, trials: int,
 def verify_eo(curve: SpectralCurveSpec, g: int, n: int, trials: int = 5,
               seed: int = 0) -> list[tuple[tuple[Fraction, ...], bool]]:
     """Compare residue extraction against the recursion engine at seeded
-    spectator values; returns one (spectators, matched) entry per trial, and
-    raises ``ValueError`` for ``trials < 1``, which would check nothing."""
-    _check_int("trials", trials, 1)
-    reference = compute(curve.config, g, n)
+    spectator values; one (spectators, matched) entry per trial.  They are
+    drawn first, so ``trials < 1`` (checking nothing) or n past the pool of
+    spectators raises ``ValueError`` before any polynomial is computed."""
     draws = sample_spectators(curve.name, g, n, trials, seed)
+    reference = compute(curve.config, g, n)
     verdicts = {}  # a repeated draw is checked once
     for spect in draws:
         if spect not in verdicts:

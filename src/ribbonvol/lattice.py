@@ -75,8 +75,7 @@ denominator, cached per (g, n, number of odd perimeters).  Then
 grid, so it takes the route for every even sum past R, evaluating each
 class polynomial once over all of the class's vectors, and asks ``count``
 for those up to R.  It keeps each value as the ``"num/den"`` text of its
-cache file, and every census text, cache file included, is filled from
-one row template.
+cache file.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import chain, repeat
 from math import comb, gcd, lcm, prod
 from operator import add, mul
@@ -373,8 +372,7 @@ class CountTable:
     """All counts for one (g, n) with total perimeter up to ``max_sum``:
     ``text`` holds one ``(vector, "num/den")`` pair per nondecreasing
     perimeter vector, in vector order, the reduced text that every output
-    prints as is.  The text, CSV and JSON outputs and the cache file each
-    fill one row template with all of the rows (``_fill``)."""
+    prints as is, the CSV of ``csv_text`` and the cache file included."""
 
     __slots__ = ("g", "n", "max_sum", "text")
 
@@ -390,7 +388,8 @@ class CountTable:
 
     def csv_text(self) -> str:
         header = ["g", "n"] + [f"p_{j + 1}" for j in range(self.n)] + ["numerator", "denominator"]
-        rows = self._fill(f"{self.g},{self.n},", ",", ",%s\n")
+        row = f"{self.g},{self.n}," + ",".join(["%d"] * self.n) + ",%s\n"
+        rows = "".join([row % (*p, text) for p, text in self.text])
         return ",".join(header) + "\n" + rows.replace("/", ",")
 
     def to_json_dict(self) -> dict:
@@ -402,23 +401,6 @@ class CountTable:
             "max_sum": self.max_sum,
             "entries": [[list(p), text] for p, text in self.text],
         }
-
-    def _fill(self, start: str, between: str, end: str, sep: str = "", dumps=None) -> str:
-        """Every row in vector order: ``start``, the vector's entries joined by
-        ``between``, then ``end``, whose ``%s`` is the value text; the rows
-        joined by ``sep`` and filled by ``%`` passes over the flattened
-        rows.  Given ``dumps``, a JSON encoder with sorted keys, they are the
-        entries of ``dumps(self.to_json_dict())`` (``sep`` its item separator)."""
-        row = start + between.join(["%d"] * self.n) + end
-        # 4096 rows to a pass, so that no flattened tuple grows with the table
-        parts = (self.text[i : i + 4096] for i in range(0, len(self.text), 4096))
-        rows = sep.join(sep.join([row] * len(part)) % tuple(chain.from_iterable(p + (v,) for p, v in part))
-                        for part in parts)
-        if dumps is None:
-            return rows
-        # the document encoded with one placeholder entry, which the rows replace
-        doc = CountTable(self.g, self.n, self.max_sum, []).to_json_dict() | {"entries": ["%s"]}
-        return dumps(doc).replace('"%s"', rows, 1)
 
 
 def census(g: int, n: int, max_sum: int, cache_dir: str | None = None) -> CountTable:
@@ -483,8 +465,11 @@ def _write_cache(path: str, table: CountTable) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
-            fh.write(table._fill("[[", ",", '],"%s"]', ",", compact))
+            # the document encoded with one placeholder entry; the rows go in its place
+            doc = CountTable(table.g, table.n, table.max_sum, []).to_json_dict() | {"entries": ["%s"]}
+            head, _, tail = json.dumps(doc, sort_keys=True, separators=(",", ":")).partition('"%s"')
+            row = "[[" + ",".join(["%d"] * table.n) + '],"%s"]'
+            fh.write(head + ",".join([row % (*p, text) for p, text in table.text]) + tail)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

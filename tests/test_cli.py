@@ -267,17 +267,23 @@ def test_poly_and_census_json_are_the_indented_json_of_their_documents(capsys):
         assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n"), (g, n)
 
 
-# sha256 of ``count --gn g,n --max-sum S --format text|csv``, as printed
-# when every row was formatted on its own; the benchmark's census tables
+# sha256 of ``count --gn g,n --max-sum S --format text|csv|json``, as printed
+# when every row was formatted on its own (text and CSV) and when JSON was
+# filled in one pass; the benchmark's census tables.  (0,4,38)'s 4,185 rows
+# span two of the writer's slices
 CENSUS_DIGESTS = {
     (0, 4, 38, "text"): "0db7a90b72873d1bab443b0d61277c14cb2218f462dede3f7110e74add431216",
     (0, 4, 38, "csv"): "719b6506a004eb5131dcf7d8b13fc301d7193dc90dd47daae21c219e29e93ad8",
+    (0, 4, 38, "json"): "87eaffaccdeede3778d9271058af216ed61b302dd318ccf24b099dd193d1c363",
     (1, 2, 54, "text"): "de23315036e9c3e866f863544c442a190b0e747b5e1915c0bcf9b24d72211ad5",
     (1, 2, 54, "csv"): "cf6e5a77bee5efc8487fcdca8e72ee149648cb23732341dd01060ad821a457c0",
+    (1, 2, 54, "json"): "87e787677eeacc2f78b593210b664eb4ce454bf0e5818e45127dff587feffba0",
     (0, 5, 24, "text"): "ebc3154ba8fca4c97869e49442e89cfb15d2d25b867548efb0430fdcd0657be0",
     (0, 5, 24, "csv"): "ff71622b8f0096eab1c5b7bea89c03fe33a42b098eaadb0b1f6691cfbc3c26b4",
+    (0, 5, 24, "json"): "e89df7b373534798e56efcdc73775550d49a97930fc42be04f6171c98915ae26",
     (1, 4, 20, "text"): "2ac1e968eaa8c42607e914700762e1a08cfba80e80e9263823815c435ea8976b",
     (1, 4, 20, "csv"): "da1a8fcce23d643b83daf5f5fe81900523ffc243cead3b7d9d8c6294118dab2d",
+    (1, 4, 20, "json"): "df66f9422020d85e7e41b481be4c7dcd57973f0b619937333454883646850c53",
 }
 
 

@@ -140,6 +140,18 @@ def test_verify_eo_needs_a_trial():
             verify_eo(CURVE_LAPLACE, 1, 2, trials=trials)
 
 
+def test_verify_eo_draws_its_spectators_before_any_polynomial(monkeypatch):
+    # the pool holds 12 spectators; L(0,14) was once expanded before the draw
+    # failed, and it exhausts an 8 GB machine
+    def refused(*args):
+        raise AssertionError("compute called before the draw")
+
+    monkeypatch.setattr(eo, "compute", refused)
+    assert len(sample_spectators("laplace", 0, 13, 1, 0)[0]) == 12
+    with pytest.raises(ValueError, match="^at most 12 spectators can be drawn, not 13$"):
+        verify_eo(CURVES["laplace"], 0, 14)
+
+
 def test_spectator_sampling_is_deterministic():
     a = sample_spectators("laplace", 0, 4, 5, 0)
     b = sample_spectators("laplace", 0, 4, 5, 0)

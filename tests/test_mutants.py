@@ -55,6 +55,11 @@ MUTANTS = {
     "lattice p_1 - p_j term dropped": (
         "lattice.py", "        terms.append(_weighted(column, p1 - pj))\n", "", {"series": 2}
     ),
+    # the genus term of the double sum; no default row reaches its splitting
+    # convolution, whose weight ``orderings`` can be dropped unseen
+    "lattice genus term counts its diagonal twice": (
+        "lattice.py", "w = q1 * q2 if q1 == q2 else 2 * q1 * q2", "w = 2 * q1 * q2", {"series": 1}
+    ),
     # the class route, which ``count`` takes past a type's grid
     "class base rows shifted": (
         "lattice.py",
